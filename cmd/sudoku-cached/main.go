@@ -2,7 +2,9 @@
 // tenants over cleartext HTTP/2: the frame protocol at /v1/op, the
 // per-tenant RAS-event tap at /v1/events, Prometheus metrics at
 // /metrics (engine families plus the sudoku_server_* service
-// families), and the engine Health JSON at /healthz. Tenants get
+// families), the health JSON at /healthz, the request-tracing flight
+// recorder at /debug/flightrec, the expvar tree at /debug/vars, and
+// the standard pprof handlers under /debug/pprof/. Tenants get
 // isolated base+limit namespaces, token-bucket rate limits, min-delay
 // session discipline on batch syncs, and batch-size-scaled timeouts;
 // the admission controller sheds load by priority as the engine's
@@ -12,45 +14,53 @@
 //
 //	sudoku-cached [-addr :9191] [-cachemb 4] [-shards 0] [-seed 1]
 //	              [-scrub 20ms] [-storm 0] [-campaign name|file.json]
-//	              [-campintervals 64] [-maxinflight 256] [-headroom 0.2]
-//	              [-tenants alpha:8192,beta:8192:high]
+//	              [-campintervals 64] [-camponce] [-maxinflight 256]
+//	              [-headroom 0.2] [-tenants alpha:8192,beta:8192:high]
 //	              [-mindelay 0] [-rate 0] [-burst 0] [-selfcheck]
+//	              [-checkpoint-dir dir] [-checkpoint 0] [-restore]
 //
 // A tenant spec is name:lines[:low|high]; windows are packed in spec
 // order and must fit the engine. -campaign steps a compiled
 // correlated-fault plan (hotspot, burst, ...) one interval per scrub
-// period, wrapping around for as long as the daemon runs; plain -storm
-// scatters uniform faults via the scrub daemon instead. -selfcheck
-// binds an ephemeral port, drives both codecs end to end through the
-// client, tails the event tap, verifies /metrics parses, and exits —
-// the CI server-smoke fast path.
+// period, wrapping around for as long as the daemon runs (-camponce
+// retires it after one pass); plain -storm scatters uniform faults via
+// the scrub daemon instead. The daemon starts no load of its own:
+// sudoku-stress -server drives it.
+//
+// -selfcheck binds an ephemeral port and gates the whole surface end
+// to end, then exits: both codecs through the client, health, degraded
+// mode, two strict /metrics scrapes (every *_total monotone, reads,
+// writes and injected faults strictly advancing), and a deterministic
+// deep-repair probe whose traces must reach /debug/flightrec in ladder
+// order, at least one past ECC-1, while the alpha event tap delivers.
 package main
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
+	"expvar"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
 	"sudoku"
-	"sudoku/client"
+	"sudoku/internal/faultmodel"
 	"sudoku/internal/reqtrace"
 	"sudoku/internal/server"
 	"sudoku/internal/server/lifecycle"
 	"sudoku/internal/server/tenant"
-	"sudoku/internal/server/wire"
-	"sudoku/internal/telemetry"
 )
 
 func main() {
@@ -171,11 +181,16 @@ func run(args []string, out io.Writer) error {
 
 	var stopCampaign func()
 	if o.campaign != "" {
-		plan, err := compileCampaign(o, eng.Geometry())
+		cam, err := faultmodel.Load(o.campaign, o.campintervals, o.storm)
 		if err != nil {
 			return err
 		}
-		stopCampaign = startCampaignStepper(eng, plan, o.scrub, o.camponce)
+		plan, err := sudoku.CompileCampaign(cam, eng.Geometry(), o.seed)
+		if err != nil {
+			return err
+		}
+		stopCampaign = faultmodel.Step(plan, o.scrub, o.camponce,
+			func(ip sudoku.FaultIntervalPlan) { _, _ = eng.ApplyFaults(ip) })
 		fmt.Fprintf(out, "campaign %s: %d intervals, stepping every %v (once=%v)\n",
 			o.campaign, plan.Intervals(), o.scrub, o.camponce)
 	}
@@ -191,13 +206,8 @@ func run(args []string, out io.Writer) error {
 	}
 	metrics := eng.NewRegistry()
 	srv.Register(metrics)
-
-	mux := http.NewServeMux()
-	mux.Handle("/v1/", srv.Handler())
-	mux.Handle("/metrics", metrics)
-	mux.Handle("/healthz", healthz(eng.Health, srv.Degraded))
-	mux.Handle("/admin/degrade", degradeHandler(srv))
-	mux.Handle("/debug/flightrec", reqtrace.Handler(eng.Tracer()))
+	publishExpvar(metrics)
+	mux := newMux(srv, metrics, eng)
 	stopSig := watchDegradeSignal(srv, out)
 	defer stopSig()
 	for _, t := range reg.Tenants() {
@@ -217,7 +227,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if o.selfcheck {
-		return selfcheck(mux, drains, out)
+		return selfcheck(mux, eng, drains, out)
 	}
 
 	ln, err := net.Listen("tcp", o.addr)
@@ -229,6 +239,51 @@ func run(args []string, out io.Writer) error {
 		Listener: ln,
 		Drain:    drains,
 		Out:      out,
+	})
+}
+
+// newMux wires the whole serving surface: the tenant API, metrics,
+// health, the operator brownout switch, the flight recorder, expvar,
+// and pprof.
+func newMux(srv *server.Server, metrics *sudoku.Registry, eng *sudoku.Concurrent) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/v1/", srv.Handler())
+	mux.Handle("/metrics", metrics)
+	mux.Handle("/healthz", healthz(eng.Health, srv.Degraded))
+	mux.Handle("/admin/degrade", degradeHandler(srv))
+	mux.Handle("/debug/flightrec", reqtrace.Handler(eng.Tracer()))
+	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
+}
+
+// currentRegistry backs the process-wide expvar binding: expvar.Publish
+// panics on duplicate names, so the name is claimed once and the
+// published Func indirects through this pointer to whichever registry
+// the most recent run built (tests call run repeatedly in-process).
+var (
+	currentRegistry atomic.Pointer[sudoku.Registry]
+	publishOnce     sync.Once
+)
+
+func publishExpvar(reg *sudoku.Registry) {
+	currentRegistry.Store(reg)
+	publishOnce.Do(func() {
+		expvar.Publish("sudoku", expvar.Func(func() any {
+			r := currentRegistry.Load()
+			if r == nil {
+				return nil
+			}
+			var m map[string]any
+			if err := json.Unmarshal([]byte(r.String()), &m); err != nil {
+				return map[string]string{"error": err.Error()}
+			}
+			return m
+		}))
 	})
 }
 
@@ -309,89 +364,16 @@ func perShard(perInterval, shards int) int {
 	return per
 }
 
-// compileCampaign resolves -campaign: preset names are sized to
-// -campintervals with -storm as base budget; anything else is read as
-// campaign JSON.
-func compileCampaign(o options, geom sudoku.FaultGeometry) (*sudoku.FaultPlan, error) {
-	var cam sudoku.FaultCampaign
-	isPreset := false
-	for _, p := range sudoku.CampaignPresetNames() {
-		if p == o.campaign {
-			isPreset = true
-			break
-		}
-	}
-	if isPreset {
-		base := o.storm
-		if base <= 0 {
-			base = 1
-		}
-		var err error
-		cam, err = sudoku.CampaignPreset(o.campaign, o.campintervals, base)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		data, err := os.ReadFile(o.campaign)
-		if err != nil {
-			return nil, fmt.Errorf("campaign %q: %w", o.campaign, err)
-		}
-		cam, err = sudoku.ParseCampaign(data)
-		if err != nil {
-			return nil, fmt.Errorf("campaign %q: %w", o.campaign, err)
-		}
-	}
-	return sudoku.CompileCampaign(cam, geom, o.seed)
-}
-
-// startCampaignStepper fires plan interval i at wall-clock i×period,
-// wrapping when the daemon outlives the plan (or, with once, retiring
-// after a single pass so the storm ladder can decay back to normal);
-// clock-anchored so lock contention cannot dilate a bounded burst
-// window.
-func startCampaignStepper(eng *sudoku.Concurrent, plan *sudoku.FaultPlan, period time.Duration, once bool) (stop func()) {
-	stopCh := make(chan struct{})
-	doneCh := make(chan struct{})
-	start := time.Now()
-	go func() {
-		defer close(doneCh)
-		ticker := time.NewTicker(period)
-		defer ticker.Stop()
-		last := -1
-		for {
-			select {
-			case <-stopCh:
-				return
-			case now := <-ticker.C:
-				i := int(now.Sub(start) / period)
-				if i <= last {
-					continue
-				}
-				last = i
-				if once && i >= plan.Intervals() {
-					return
-				}
-				ip, err := plan.At(i % plan.Intervals())
-				if err != nil {
-					return
-				}
-				_, _ = eng.ApplyFaults(ip)
-			}
-		}
-	}()
-	return func() {
-		close(stopCh)
-		<-doneCh
-	}
-}
-
 // healthz serves the engine Health JSON, 503 while the scrub watchdog
-// flags a stalled pass or the checkpoint daemon has gone stale. The
-// trace fields are informational only: flight-recorder drops mean
-// sampler contention, never unhealthy, and last_anomaly_age_ns is -1
-// when nothing anomalous was ever recorded. Degraded mode is likewise
-// NOT a 503: a degraded server is still serving reads by design —
-// orchestrators must not kill a replica for shedding writes.
+// flags a stalled pass or the checkpoint daemon has gone stale; the
+// body names which (scrub_stalled against scrub_watchdog_ns,
+// checkpoint_stale). The trace fields are informational only:
+// flight-recorder drops mean sampler contention, never unhealthy, and
+// last_anomaly_age_ns is -1 when nothing anomalous was ever recorded.
+// Degraded mode is likewise NOT a 503: a degraded server is still
+// serving reads by design — orchestrators must not kill a replica for
+// shedding writes. Health fields /metrics already carries (uptime,
+// scrub-pass and checkpoint ages, spares, quarantine) stay there.
 func healthz(health func() sudoku.Health, degraded func() (bool, string)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		h := health()
@@ -400,10 +382,11 @@ func healthz(health func() sudoku.Health, degraded func() (bool, string)) http.H
 		if h.ScrubStalled || h.CheckpointStale {
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}
-		fmt.Fprintf(w, `{"storm":%q,"degraded":%v,"degraded_reason":%q,"scrub_running":%v,"retired_lines":%d,"events_dropped":%d,"snapshot_generation":%d,"checkpoint_writes":%d,"traces_published":%d,"trace_drops":%d,"last_anomaly_age_ns":%d}`+"\n",
+		fmt.Fprintf(w, `{"storm":%q,"degraded":%v,"degraded_reason":%q,"scrub_running":%v,"retired_lines":%d,"events_dropped":%d,"snapshot_generation":%d,"checkpoint_writes":%d,"traces_published":%d,"trace_drops":%d,"last_anomaly_age_ns":%d,"scrub_stalled":%v,"scrub_watchdog_ns":%d,"checkpoint_stale":%v,"restored_lines":%d}`+"\n",
 			h.Storm.State.String(), deg, reason, h.ScrubRunning, h.RetiredLines, h.EventsDropped,
 			h.SnapshotGeneration, h.CheckpointWrites,
-			h.TracesPublished, h.TraceDrops, int64(h.LastAnomalyAge))
+			h.TracesPublished, h.TraceDrops, int64(h.LastAnomalyAge),
+			h.ScrubStalled, int64(h.ScrubWatchdog), h.CheckpointStale, h.RestoredLines)
 	}
 }
 
@@ -452,172 +435,4 @@ func watchDegradeSignal(srv *server.Server, out io.Writer) (stop func()) {
 		signal.Stop(ch)
 		close(done)
 	}
-}
-
-// selfcheck drives the full stack end to end on an ephemeral port:
-// both codecs, singles and batches, the event tap, health, and a
-// /metrics parse — then runs the drain sequence and exits.
-func selfcheck(mux *http.ServeMux, drains []lifecycle.Step, out io.Writer) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := newH2CServer(mux)
-	go func() { _ = hs.Serve(ln) }()
-	defer hs.Close()
-	addr := ln.Addr().String()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	for _, codec := range []uint8{wire.CodecJSON, wire.CodecBinary} {
-		cl := client.New(client.Options{Addr: addr, Codec: codec})
-		line := make([]byte, 64)
-		for i := range line {
-			line[i] = byte(i) ^ byte(codec)
-		}
-		if err := cl.Write(ctx, "alpha", 0, line); err != nil {
-			return fmt.Errorf("selfcheck write (codec %d): %w", codec, err)
-		}
-		got, err := cl.Read(ctx, "alpha", 0)
-		if err != nil {
-			return fmt.Errorf("selfcheck read (codec %d): %w", codec, err)
-		}
-		for i := range line {
-			if got[i] != line[i] {
-				return fmt.Errorf("selfcheck (codec %d): byte %d = %#x, want %#x", codec, i, got[i], line[i])
-			}
-		}
-		addrs := []uint64{64, 128, 192}
-		data := make([]byte, 3*64)
-		for i := range data {
-			data[i] = byte(i * 7)
-		}
-		if err := cl.WriteBatch(ctx, "alpha", addrs, data); err != nil {
-			return fmt.Errorf("selfcheck batch write (codec %d): %w", codec, err)
-		}
-		back, err := cl.ReadBatch(ctx, "alpha", addrs)
-		if err != nil {
-			return fmt.Errorf("selfcheck batch read (codec %d): %w", codec, err)
-		}
-		for i := range data {
-			if back[i] != data[i] {
-				return fmt.Errorf("selfcheck batch (codec %d): byte %d mismatch", codec, i)
-			}
-		}
-	}
-
-	cl := client.New(client.Options{Addr: addr})
-	h, err := cl.Health(ctx, "alpha")
-	if err != nil {
-		return fmt.Errorf("selfcheck health: %w", err)
-	}
-	fmt.Fprintf(out, "selfcheck: health storm=%s scrub_running=%v\n", h.Storm, h.ScrubRunning)
-
-	// Degraded-mode round trip through the admin endpoint: writes shed
-	// with the typed reason, reads keep flowing, recovery restores
-	// writes.
-	if resp, err := http.Post("http://"+addr+"/admin/degrade?on=true", "", nil); err != nil {
-		return fmt.Errorf("selfcheck degrade on: %w", err)
-	} else {
-		resp.Body.Close()
-	}
-	var shed *client.ShedError
-	if err := cl.Write(ctx, "alpha", 0, make([]byte, 64)); !errors.As(err, &shed) {
-		return fmt.Errorf("selfcheck degraded write returned %v, want shed", err)
-	} else if shed.Reason() != "degraded" {
-		return fmt.Errorf("selfcheck degraded write shed reason %q", shed.Reason())
-	}
-	if _, err := cl.Read(ctx, "alpha", 0); err != nil {
-		return fmt.Errorf("selfcheck degraded read: %w", err)
-	}
-	if h, err = cl.Health(ctx, "alpha"); err != nil || !h.Degraded {
-		return fmt.Errorf("selfcheck degraded health = %+v, %v", h, err)
-	}
-	if resp, err := http.Post("http://"+addr+"/admin/degrade?on=false", "", nil); err != nil {
-		return fmt.Errorf("selfcheck degrade off: %w", err)
-	} else {
-		resp.Body.Close()
-	}
-	if err := cl.Write(ctx, "alpha", 0, make([]byte, 64)); err != nil {
-		return fmt.Errorf("selfcheck write after degrade recovery: %w", err)
-	}
-	fmt.Fprintln(out, "selfcheck: degraded mode shed writes, served reads, recovered")
-
-	// The tap must deliver an in-window event end to end.
-	stream, err := cl.Events(ctx, "alpha")
-	if err != nil {
-		return fmt.Errorf("selfcheck events: %w", err)
-	}
-	defer stream.Close()
-	evCh := make(chan error, 1)
-	go func() {
-		_, err := stream.Next()
-		evCh <- err
-	}()
-	// RecordSDC is not on the wire API (it is an operator action), so
-	// poke the engine via a write that the tap's window covers after
-	// injecting damage through the metrics side: simplest reliable
-	// event source is the scrub daemon's own activity when faults are
-	// present — but with -storm 0 there may be none. Drive one
-	// guaranteed event through a per-tenant write burst instead: not
-	// every write emits an event, so fall back to a timeout that only
-	// warns when the engine is idle.
-	select {
-	case err := <-evCh:
-		if err != nil {
-			return fmt.Errorf("selfcheck event stream: %w", err)
-		}
-		fmt.Fprintln(out, "selfcheck: event tap delivered")
-	case <-time.After(2 * time.Second):
-		fmt.Fprintln(out, "selfcheck: event tap open (no events in idle engine)")
-	}
-
-	resp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		return fmt.Errorf("selfcheck metrics: %w", err)
-	}
-	defer resp.Body.Close()
-	series, err := telemetry.ParseExposition(resp.Body)
-	if err != nil {
-		return fmt.Errorf("selfcheck metrics parse: %w", err)
-	}
-	want := []string{
-		`sudoku_server_requests_total{outcome="ok",tenant="alpha"}`,
-		"sudoku_server_inflight",
-		"sudoku_server_storm_state",
-	}
-	for _, name := range want {
-		if _, ok := series[name]; !ok {
-			return fmt.Errorf("selfcheck metrics: series %s missing", name)
-		}
-	}
-	if series[`sudoku_server_requests_total{outcome="ok",tenant="alpha"}`] < 8 {
-		return fmt.Errorf("selfcheck metrics: request counter did not advance")
-	}
-	if series["sudoku_traces_begun_total"] < 8 {
-		return fmt.Errorf("selfcheck metrics: traces_begun did not advance — wire trace context lost")
-	}
-
-	frResp, err := http.Get("http://" + addr + "/debug/flightrec")
-	if err != nil {
-		return fmt.Errorf("selfcheck flightrec: %w", err)
-	}
-	defer frResp.Body.Close()
-	var rec sudoku.FlightRecord
-	if err := json.NewDecoder(frResp.Body).Decode(&rec); err != nil {
-		return fmt.Errorf("selfcheck flightrec JSON: %w", err)
-	}
-	if rec.Begun < 8 {
-		return fmt.Errorf("selfcheck flightrec: begun_total = %d, want the client ops traced", rec.Begun)
-	}
-
-	dctx, dcancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer dcancel()
-	for _, st := range drains {
-		if err := st.Run(dctx); err != nil {
-			return fmt.Errorf("selfcheck drain %s: %w", st.Name, err)
-		}
-	}
-	fmt.Fprintln(out, "selfcheck: PASS")
-	return nil
 }

@@ -5,12 +5,10 @@
 package main
 
 import (
-	"fmt"
-	"os"
 	"strings"
-	"time"
 
 	"sudoku"
+	"sudoku/internal/faultmodel"
 )
 
 // presetList renders the built-in campaign names for the flag help.
@@ -18,41 +16,10 @@ func presetList() string {
 	return strings.Join(sudoku.CampaignPresetNames(), ", ")
 }
 
-// isPreset reports whether name is a built-in campaign.
-func isPreset(name string) bool {
-	for _, p := range sudoku.CampaignPresetNames() {
-		if p == name {
-			return true
-		}
-	}
-	return false
-}
-
-// loadCampaign builds the named campaign: a preset name is sized with
-// the given intervals and per-interval base budget, anything else is
-// read as a campaign JSON file whose own interval count stands.
-func loadCampaign(name string, intervals, base int) (sudoku.FaultCampaign, error) {
-	if isPreset(name) {
-		if base <= 0 {
-			base = 1
-		}
-		return sudoku.CampaignPreset(name, intervals, base)
-	}
-	data, err := os.ReadFile(name)
-	if err != nil {
-		return sudoku.FaultCampaign{}, fmt.Errorf("campaign %q: %w", name, err)
-	}
-	cam, err := sudoku.ParseCampaign(data)
-	if err != nil {
-		return sudoku.FaultCampaign{}, fmt.Errorf("campaign %q: %w", name, err)
-	}
-	return cam, nil
-}
-
 // resolveCampaign turns the -campaign flag into a compiled plan sized
 // to the run (-duration/-scrub intervals, -storm base budget).
 func resolveCampaign(o options, geom sudoku.FaultGeometry) (*sudoku.FaultPlan, error) {
-	cam, err := loadCampaign(o.campaign, int(o.duration/o.scrub)+1, o.storm)
+	cam, err := faultmodel.Load(o.campaign, int(o.duration/o.scrub)+1, o.storm)
 	if err != nil {
 		return nil, err
 	}
@@ -72,45 +39,8 @@ func boundedPressure(cam sudoku.FaultCampaign) bool {
 	return false
 }
 
-// startCampaignStepper launches the injection goroutine: plan interval
-// i fires at wall-clock time i×period from the start, wrapping around
-// if the run outlives the plan. The schedule is anchored to the clock,
-// not to completed injections: when shard-lock contention makes an
-// ApplyFaults outrun its period, the stepper skips ahead rather than
-// letting the whole plan (and any bounded burst window in it) dilate.
-// The returned stop function joins the goroutine.
-func startCampaignStepper(eng engine, plan *sudoku.FaultPlan, period time.Duration) (stop func(), err error) {
-	if plan.Intervals() <= 0 {
-		return nil, fmt.Errorf("campaign plan has no intervals")
-	}
-	stopCh := make(chan struct{})
-	doneCh := make(chan struct{})
-	start := time.Now()
-	go func() {
-		defer close(doneCh)
-		ticker := time.NewTicker(period)
-		defer ticker.Stop()
-		last := -1
-		for {
-			select {
-			case <-stopCh:
-				return
-			case now := <-ticker.C:
-				i := int(now.Sub(start) / period)
-				if i <= last {
-					continue
-				}
-				last = i
-				ip, err := plan.At(i % plan.Intervals())
-				if err != nil {
-					return
-				}
-				_, _ = eng.ApplyFaults(ip)
-			}
-		}
-	}()
-	return func() {
-		close(stopCh)
-		<-doneCh
-	}, nil
+// applyFaults adapts an engine to the shared campaign stepper
+// (faultmodel.Step), which fires one plan interval per scrub period.
+func applyFaults(eng engine) func(sudoku.FaultIntervalPlan) {
+	return func(ip sudoku.FaultIntervalPlan) { _, _ = eng.ApplyFaults(ip) }
 }

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"sudoku"
+	"sudoku/internal/faultmodel"
 	"sudoku/internal/rng"
 	"sudoku/internal/sttram"
 )
@@ -115,7 +116,7 @@ func runChaos(o options, out io.Writer) error {
 	var plan *sudoku.FaultPlan
 	var cam sudoku.FaultCampaign
 	if o.campaign != "" {
-		cam, err = loadCampaign(o.campaign, int(o.duration/o.scrub)+1, campaignBase)
+		cam, err = faultmodel.Load(o.campaign, int(o.duration/o.scrub)+1, campaignBase)
 		if err != nil {
 			return err
 		}
@@ -195,15 +196,12 @@ func runChaos(o options, out io.Writer) error {
 	deadline := time.Now().Add(o.duration)
 	var wg sync.WaitGroup
 
-	// Campaign stepper: a dedicated goroutine on a strict ticker, so the
+	// Campaign stepper: a dedicated clock-anchored goroutine, so the
 	// plan's interval schedule (and with it any bounded burst window)
 	// holds even while the chaos controller below is busy churning.
 	stopStepper := func() {}
 	if plan != nil {
-		stopStepper, err = startCampaignStepper(c, plan, o.scrub)
-		if err != nil {
-			return err
-		}
+		stopStepper = faultmodel.Step(plan, o.scrub, false, applyFaults(c))
 	}
 
 	// Load fleet: goroutine g owns lines ≡ g (mod goroutines+1);

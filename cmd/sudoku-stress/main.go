@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"sudoku"
+	"sudoku/internal/faultmodel"
 	"sudoku/internal/rng"
 	"sudoku/internal/telemetry"
 )
@@ -313,10 +314,7 @@ func runEngine(o options, name string) (*result, error) {
 		if err != nil {
 			return nil, err
 		}
-		stopStepper, err = startCampaignStepper(eng, plan, o.scrub)
-		if err != nil {
-			return nil, err
-		}
+		stopStepper = faultmodel.Step(plan, o.scrub, false, applyFaults(eng))
 	}
 	load(o, eng, res)
 	stopStepper()

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"sudoku"
+	"sudoku/internal/faultmodel"
 	"sudoku/internal/persist"
 	"sudoku/internal/rng"
 )
@@ -56,7 +57,7 @@ func runRestoreCycle(o options, out io.Writer) error {
 	if err := a.StartStormControl(stormCfg); err != nil {
 		return err
 	}
-	cam, err := loadCampaign(camName, int(o.duration/o.scrub)+1, budget/2)
+	cam, err := faultmodel.Load(camName, int(o.duration/o.scrub)+1, budget/2)
 	if err != nil {
 		return err
 	}
@@ -78,10 +79,7 @@ func runRestoreCycle(o options, out io.Writer) error {
 	}); err != nil {
 		return err
 	}
-	stopStepper, err := startCampaignStepper(a, plan, o.scrub)
-	if err != nil {
-		return err
-	}
+	stopStepper := faultmodel.Step(plan, o.scrub, false, applyFaults(a))
 
 	var cnt chaosCounters
 	phase := o.duration / 2

@@ -16,11 +16,6 @@ import (
 	"time"
 
 	"sudoku"
-	"sudoku/internal/cache"
-	"sudoku/internal/core"
-	"sudoku/internal/dram"
-	"sudoku/internal/rng"
-	"sudoku/internal/scrubber"
 )
 
 func main() {
@@ -30,39 +25,35 @@ func main() {
 }
 
 func run() error {
-	// Build the substrate directly so the scrubber can own it; the
-	// public sudoku.Cache wraps the same type.
-	ccfg := cache.DefaultConfig()
-	ccfg.Lines = 1 << 14 // 1 MB demo cache
-	ccfg.GroupSize = 64
-	ccfg.Protection = core.ProtectionZ
-	mem, err := dram.New(dram.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	llc, err := cache.New(ccfg, mem)
+	cfg := sudoku.DefaultConfig()
+	cfg.CacheMB = 1 // 1 MB demo cache
+	cfg.GroupSize = 64
+	cfg.Shards = 4
+	cfg.Seed = 2019
+	c, err := sudoku.NewConcurrent(cfg)
 	if err != nil {
 		return err
 	}
 
 	payload := bytes.Repeat([]byte("scrubbed"), 8)
 	for i := uint64(0); i < 512; i++ {
-		if _, err := llc.Write(0, i*64, payload); err != nil {
+		if err := c.Write(i*64, payload); err != nil {
 			return err
 		}
 	}
 
-	// Fault pressure: ~40 random flips per pass over the 1 MB cache is
-	// an abusive ~4×10⁻⁶ BER per interval — the paper's regime scaled
-	// onto the demo size.
-	r := rng.New(2019)
-	scrub, err := scrubber.New(llc, scrubber.Config{
+	// Fault pressure: ~40 random flips per rotation over the 1 MB cache
+	// is an abusive ~4×10⁻⁶ BER per interval — the paper's regime
+	// scaled onto the demo size. The daemon scrubs one shard at a time,
+	// so the budget is split across the per-shard passes.
+	perPass := max(40/c.Shards(), 1)
+	err = c.StartScrub(sudoku.ScrubDaemonConfig{
 		Interval:     10 * time.Millisecond,
-		InjectFaults: func() error { return llc.InjectRandomFaults(r, 40) },
-		OnReport: func(p scrubber.Pass) {
-			if p.Seq%10 == 0 {
-				fmt.Printf("  pass %3d: %3d singles, %d SDR, %d RAID, %d DUEs (%.1fms)\n",
-					p.Seq, p.Report.SingleRepairs, p.Report.SDRRepairs,
+		StormPerPass: perPass,
+		OnPass: func(p sudoku.ScrubPass) {
+			if p.Shard == 0 && p.Rotation%10 == 0 {
+				fmt.Printf("  rotation %3d, shard 0: %3d singles, %d SDR, %d RAID, %d DUEs (%.1fms)\n",
+					p.Rotation, p.Report.SingleRepairs, p.Report.SDRRepairs,
 					p.Report.RAIDRepairs, len(p.Report.DUELines),
 					float64(p.Took.Microseconds())/1000)
 			}
@@ -71,19 +62,16 @@ func run() error {
 	if err != nil {
 		return err
 	}
-
-	fmt.Println("starting scrub daemon (10 ms interval, ~40 faults/pass)...")
-	if err := scrub.Start(); err != nil {
-		return err
-	}
+	fmt.Printf("starting scrub daemon (10 ms rotation over %d shards, ~%d faults/shard pass)...\n",
+		c.Shards(), perPass)
 
 	// Foreground traffic while the daemon runs.
 	reads := 0
+	got := make([]byte, 64)
 	deadline := time.Now().Add(500 * time.Millisecond)
 	for time.Now().Before(deadline) {
 		for i := uint64(0); i < 512; i += 7 {
-			got, _, err := llc.Read(0, i*64)
-			if err != nil {
+			if err := c.ReadInto(i*64, got); err != nil {
 				return fmt.Errorf("foreground read of line %d: %w", i, err)
 			}
 			if !bytes.Equal(got, payload) {
@@ -92,15 +80,15 @@ func run() error {
 			reads++
 		}
 	}
-	if err := scrub.Stop(); err != nil {
+	if err := c.StopScrub(); err != nil {
 		return err
 	}
 
-	st := scrub.Stats()
-	fmt.Printf("\ndaemon stopped after %d passes\n", st.Passes)
+	st := c.ScrubStats()
+	fmt.Printf("\ndaemon stopped after %d rotations (%d shard passes)\n", st.Rotations, st.ShardPasses)
 	fmt.Printf("  repairs: %d single, %d SDR, %d RAID, %d Hash-2\n",
-		st.SingleRepairs, st.SDRRepairs, st.RAIDRepairs, st.Hash2Repairs)
-	fmt.Printf("  DUE lines: %d\n", st.DUELines)
+		st.Scrub.SingleRepairs, st.Scrub.SDRRepairs, st.Scrub.RAIDRepairs, st.Scrub.Hash2Repairs)
+	fmt.Printf("  DUE lines: %d\n", st.Scrub.DUELines)
 	fmt.Printf("  foreground reads verified: %d (all clean)\n", reads)
 
 	// The public API exposes the same machinery in two calls:

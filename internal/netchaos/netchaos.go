@@ -447,14 +447,17 @@ func (p *Proxy) pump(pr *pair, src, dst net.Conn, toClient bool, faults *rng.Sou
 				pr.kill(false)
 				return
 			}
+			// Count before forwarding, so a chunk the peer has already
+			// read is always in Stats; a failed write takes it back.
+			fwd := &p.bytesUp
+			if toClient {
+				fwd = &p.bytesDown
+			}
+			fwd.Add(uint64(n))
 			if _, werr := dst.Write(chunk); werr != nil {
+				fwd.Add(^uint64(n - 1))
 				pr.kill(false)
 				return
-			}
-			if toClient {
-				p.bytesDown.Add(uint64(n))
-			} else {
-				p.bytesUp.Add(uint64(n))
 			}
 			if ph.BandwidthKBps > 0 {
 				time.Sleep(time.Duration(float64(n) / float64(ph.BandwidthKBps<<10) * float64(time.Second)))

@@ -2,8 +2,6 @@ package scrubber
 
 import (
 	"errors"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,163 +10,38 @@ import (
 	"sudoku/internal/rng"
 )
 
-// fakeTarget counts scrubs and returns scripted reports.
-type fakeTarget struct {
-	mu     sync.Mutex
-	calls  int
-	report cache.ScrubReport
-	err    error
-}
-
-var _ Target = (*fakeTarget)(nil)
-
-func (f *fakeTarget) Scrub() (cache.ScrubReport, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.calls++
-	return f.report, f.err
-}
-
-func (f *fakeTarget) count() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.calls
-}
-
-func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, Config{Interval: time.Millisecond}); err == nil {
-		t.Fatal("nil target accepted")
-	}
-	if _, err := New(&fakeTarget{}, Config{}); err == nil {
-		t.Fatal("zero interval accepted")
-	}
-}
-
-func TestRunOnceAccounting(t *testing.T) {
-	ft := &fakeTarget{report: cache.ScrubReport{
+func TestStatsObserveAndAdd(t *testing.T) {
+	var st Stats
+	st.Observe(Pass{Report: cache.ScrubReport{
 		SingleRepairs: 3, SDRRepairs: 1, RAIDRepairs: 2, Hash2Repairs: 1,
 		DUELines: []int{7},
-	}}
-	s, err := New(ft, Config{Interval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pass, err := s.RunOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pass.Seq != 1 || pass.Report.SingleRepairs != 3 {
-		t.Fatalf("pass: %+v", pass)
-	}
-	st := s.Stats()
+	}})
 	want := Stats{Passes: 1, SingleRepairs: 3, SDRRepairs: 1, RAIDRepairs: 2, Hash2Repairs: 1, DUELines: 1}
 	if st != want {
 		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
-}
-
-func TestInjectorRunsBeforeScrub(t *testing.T) {
-	order := []string{}
-	ft := &fakeTarget{}
-	s, err := New(ft, Config{
-		Interval: time.Hour,
-		InjectFaults: func() error {
-			order = append(order, "inject")
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RunOnce(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 1 || ft.count() != 1 {
-		t.Fatalf("order %v, scrubs %d", order, ft.count())
+	st.Add(want)
+	want = Stats{Passes: 2, SingleRepairs: 6, SDRRepairs: 2, RAIDRepairs: 4, Hash2Repairs: 2, DUELines: 2}
+	if st != want {
+		t.Fatalf("after Add: stats = %+v, want %+v", st, want)
 	}
 }
 
 func TestErrorsCountedNotFatal(t *testing.T) {
-	ft := &fakeTarget{err: errors.New("boom")}
-	s, err := New(ft, Config{Interval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
+	var st Stats
+	st.Observe(Pass{Err: errors.New("boom"), Report: cache.ScrubReport{SingleRepairs: 5}})
+	if want := (Stats{Passes: 1, Errors: 1}); st != want {
+		t.Fatalf("stats = %+v, want %+v (a failed pass contributes no repairs)", st, want)
 	}
-	if _, err := s.RunOnce(); err == nil {
-		t.Fatal("scrub error not surfaced by RunOnce")
-	}
-	if st := s.Stats(); st.Errors != 1 || st.Passes != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	injectErr := errors.New("inject failed")
-	s2, err := New(&fakeTarget{}, Config{
-		Interval:     time.Hour,
-		InjectFaults: func() error { return injectErr },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.RunOnce(); !errors.Is(err, injectErr) {
-		t.Fatalf("err = %v", err)
+	st.Observe(Pass{Report: cache.ScrubReport{SingleRepairs: 2}})
+	if st.Passes != 2 || st.Errors != 1 || st.SingleRepairs != 2 {
+		t.Fatalf("accounting stopped after an error pass: %+v", st)
 	}
 }
 
-func TestStartStopLifecycle(t *testing.T) {
-	var reports atomic.Int64
-	ft := &fakeTarget{}
-	s, err := New(ft, Config{
-		Interval: 2 * time.Millisecond,
-		OnReport: func(Pass) { reports.Add(1) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Stop(); !errors.Is(err, ErrNotRunning) {
-		t.Fatalf("Stop before Start: %v", err)
-	}
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start(); !errors.Is(err, ErrAlreadyRunning) {
-		t.Fatalf("double Start: %v", err)
-	}
-	if !s.Running() {
-		t.Fatal("not running after Start")
-	}
-	deadline := time.After(2 * time.Second)
-	for ft.count() < 3 {
-		select {
-		case <-deadline:
-			t.Fatalf("only %d passes before deadline", ft.count())
-		case <-time.After(time.Millisecond):
-		}
-	}
-	if err := s.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Running() {
-		t.Fatal("still running after Stop")
-	}
-	// No passes after Stop returns.
-	settled := ft.count()
-	time.Sleep(10 * time.Millisecond)
-	if ft.count() != settled {
-		t.Fatal("goroutine leaked past Stop")
-	}
-	if reports.Load() == 0 {
-		t.Fatal("OnReport never fired")
-	}
-	// Restartable.
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Stop(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestEndToEndWithRealCache drives the scrubber against the functional
-// STTRAM cache with a real fault injector — a soak in miniature.
+// TestEndToEndWithRealCache folds real scrub passes over the functional
+// STTRAM cache, each preceded by an interval of injected faults, into
+// Stats — a soak in miniature.
 func TestEndToEndWithRealCache(t *testing.T) {
 	ccfg := cache.DefaultConfig()
 	ccfg.Lines = 1 << 14
@@ -185,19 +58,17 @@ func TestEndToEndWithRealCache(t *testing.T) {
 		}
 	}
 	r := rng.New(77)
-	s, err := New(llc, Config{
-		Interval:     time.Hour, // driven manually
-		InjectFaults: func() error { return llc.InjectRandomFaults(r, 40) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var st Stats
 	for pass := 0; pass < 20; pass++ {
-		if _, err := s.RunOnce(); err != nil {
+		if err := llc.InjectRandomFaults(r, 40); err != nil {
+			t.Fatal(err)
+		}
+		report, err := llc.Scrub()
+		if err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
+		st.Observe(Pass{Report: report})
 	}
-	st := s.Stats()
 	if st.Passes != 20 || st.SingleRepairs == 0 {
 		t.Fatalf("stats = %+v", st)
 	}

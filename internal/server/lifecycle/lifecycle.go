@@ -1,6 +1,6 @@
-// Package lifecycle is the shared graceful-shutdown spine of the
-// sudoku daemons (sudoku-metricsd, sudoku-cached). It owns the
-// signal-to-drain sequence so every daemon quiesces the same way:
+// Package lifecycle is the graceful-shutdown spine of the sudoku-cached
+// daemon. It owns the signal-to-drain sequence so the serving path
+// quiesces in a fixed order:
 //
 //  1. SIGINT/SIGTERM (or external context cancel) stops accepting new
 //     connections and lets in-flight HTTP requests finish, bounded by
@@ -126,8 +126,8 @@ func runDrains(ctx context.Context, steps []Step, out io.Writer) error {
 	return errors.Join(errs...)
 }
 
-// EngineDrain builds the standard engine drain steps shared by the
-// daemons: finish the in-flight scrub pass, stop the scrub daemon,
+// EngineDrainer is the engine machinery EngineDrain quiesces: finish
+// the in-flight scrub pass, stop the scrub daemon,
 // stop the storm controller. Each step tolerates the corresponding
 // machinery never having been started.
 type EngineDrainer interface {
@@ -138,7 +138,7 @@ type EngineDrainer interface {
 
 // EngineDrain returns the drain sequence for eng. notRunning reports
 // which sentinel errors mean "that machinery was never started" and
-// are therefore clean outcomes (the daemons pass their engine
+// are therefore clean outcomes (the daemon passes the engine
 // package's ErrScrubNotRunning-style sentinels).
 func EngineDrain(eng EngineDrainer, notRunning func(error) bool) []Step {
 	ignore := func(err error) error {

@@ -37,7 +37,12 @@ func TestTargetedScrubDoesNotMaskStalledRotation(t *testing.T) {
 	defer close(block)
 
 	<-entered
-	waitFor(t, 2*time.Second, "watchdog to flag the stall", d.Stalled)
+	// Wait for the watchdog's report, not just Stalled(): the report
+	// lands on the watchdog's next tick, after Stalled() turns true, and
+	// must not count as the targeted scrub moving the daemon stats.
+	waitFor(t, 2*time.Second, "watchdog to report the stall", func() bool {
+		return d.Stalled() && d.Stats().Stalls == 1
+	})
 
 	dstatsBefore := d.Stats()
 	if dstatsBefore.Rotations != 0 {

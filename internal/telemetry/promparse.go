@@ -20,8 +20,8 @@ import (
 //
 // It returns every sample keyed by its full name including the label
 // body (`name{a="b"}`), so callers can assert cross-scrape counter
-// monotonicity. It is the checker the CI metrics-smoke job and the
-// metricsd self-check run against a live /metrics scrape.
+// monotonicity. It is the checker the sudoku-cached self-check (the CI
+// metrics-smoke job) runs against a live /metrics scrape.
 func ParseExposition(r io.Reader) (map[string]float64, error) {
 	samples := make(map[string]float64)
 	typed := make(map[string]MetricType)

@@ -70,17 +70,20 @@ func TestReadContendedFastBeatsLocked(t *testing.T) {
 		window     = 150 * time.Millisecond
 		trials     = 3
 	)
-	best := func(disable bool) int64 {
-		var m int64
-		for i := 0; i < trials; i++ {
-			if n := contendedOps(t, disable, goroutines, window); n > m {
-				m = n
+	// Interleave the arms, alternating which goes first, so background
+	// load from other test processes lands on both sides alike; each arm
+	// keeps its best trial.
+	var locked, fast int64
+	for i := 0; i < trials; i++ {
+		for _, disable := range [2]bool{i%2 == 0, i%2 != 0} {
+			n := contendedOps(t, disable, goroutines, window)
+			if disable {
+				locked = max(locked, n)
+			} else {
+				fast = max(fast, n)
 			}
 		}
-		return m
 	}
-	locked := best(true)
-	fast := best(false)
 	t.Logf("16-goroutine contended reads per %v: fast=%d locked=%d (%.2fx)",
 		window, fast, locked, float64(fast)/float64(locked))
 	if fast < locked {

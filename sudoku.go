@@ -385,6 +385,18 @@ func putBatchErrs(p *[]error) {
 	batchErrsPool.Put(p)
 }
 
+// batchResult applies the batch return contract to a pooled errs box:
+// a clean (or structurally failed) batch returns the box to the pool
+// and reports nil, otherwise the slice escapes to the caller and its
+// box is dropped.
+func batchResult(ep *[]error, failed int, err error) ([]error, error) {
+	if err != nil || failed == 0 {
+		putBatchErrs(ep)
+		return nil, err
+	}
+	return *ep, nil
+}
+
 // ReadBatch reads len(addrs) lines into dst (64×len(addrs) bytes, item
 // i at dst[i*64:]) under a single engine-lock acquisition, amortizing
 // the per-call overhead across the batch. Per-item outcomes come back
@@ -395,11 +407,7 @@ func (c *Cache) ReadBatch(addrs []uint64, dst []byte) ([]error, error) {
 	ep := getBatchErrs(len(addrs))
 	lat, failed, err := c.inner.ReadBatchInto(c.now(), addrs, nil, dst, *ep)
 	c.advance(lat)
-	if err != nil || failed == 0 {
-		putBatchErrs(ep)
-		return nil, err
-	}
-	return *ep, nil // escapes to the caller; its box is dropped
+	return batchResult(ep, failed, err)
 }
 
 // WriteBatch writes len(addrs) lines from data (item i at data[i*64:])
@@ -410,11 +418,7 @@ func (c *Cache) WriteBatch(addrs []uint64, data []byte) ([]error, error) {
 	ep := getBatchErrs(len(addrs))
 	lat, failed, err := c.inner.WriteBatch(c.now(), addrs, nil, data, *ep)
 	c.advance(lat)
-	if err != nil || failed == 0 {
-		putBatchErrs(ep)
-		return nil, err
-	}
-	return *ep, nil
+	return batchResult(ep, failed, err)
 }
 
 // InjectFault flips one stored bit (0 ≤ bit < 553 across data, CRC,
@@ -724,10 +728,10 @@ func (c *Concurrent) Read(addr uint64) ([]byte, error) { return c.eng.Read(addr)
 // ReadInto is Read into a caller-provided 64-byte buffer — the
 // allocation-free form for callers that reuse a line buffer across
 // accesses.
-func (c *Concurrent) ReadInto(addr uint64, dst []byte) error { return c.eng.ReadInto(addr, dst) }
+func (c *Concurrent) ReadInto(addr uint64, dst []byte) error { return c.eng.ReadInto(addr, dst, nil) }
 
 // Write stores a 64-byte line at addr.
-func (c *Concurrent) Write(addr uint64, data []byte) error { return c.eng.Write(addr, data) }
+func (c *Concurrent) Write(addr uint64, data []byte) error { return c.eng.Write(addr, data, nil) }
 
 // Tracer returns the engine's always-on request tracer. Its Ring is the
 // flight recorder behind /debug/flightrec, /healthz trace fields, and
@@ -740,12 +744,12 @@ func (c *Concurrent) Tracer() *Tracer { return c.tracer }
 // untraced case). Begin/Finish bracketing is the caller's — the server
 // owns the trace across the whole request, this method only threads it.
 func (c *Concurrent) ReadIntoTraced(addr uint64, dst []byte, tr *Trace) error {
-	return c.eng.ReadIntoTraced(addr, dst, tr)
+	return c.eng.ReadInto(addr, dst, tr)
 }
 
 // WriteTraced is Write with a request trace attached; see ReadIntoTraced.
 func (c *Concurrent) WriteTraced(addr uint64, data []byte, tr *Trace) error {
-	return c.eng.WriteTraced(addr, data, tr)
+	return c.eng.Write(addr, data, tr)
 }
 
 // TraceRead is the self-bracketing traced read: it draws a trace from
@@ -755,14 +759,14 @@ func (c *Concurrent) WriteTraced(addr uint64, data []byte, tr *Trace) error {
 // apart from server traffic (which uses the wire op byte).
 func (c *Concurrent) TraceRead(id uint64, addr uint64, dst []byte) (published bool, err error) {
 	tr := c.tracer.Begin(id, 'R')
-	err = c.eng.ReadIntoTraced(addr, dst, tr)
+	err = c.eng.ReadInto(addr, dst, tr)
 	return c.tracer.Finish(tr), err
 }
 
 // TraceWrite is the self-bracketing traced write; see TraceRead.
 func (c *Concurrent) TraceWrite(id uint64, addr uint64, data []byte) (published bool, err error) {
 	tr := c.tracer.Begin(id, 'W')
-	err = c.eng.WriteTraced(addr, data, tr)
+	err = c.eng.Write(addr, data, tr)
 	return c.tracer.Finish(tr), err
 }
 
@@ -775,13 +779,7 @@ func (c *Concurrent) TraceWrite(id uint64, addr uint64, data []byte) (published 
 // misuse (mismatched buffer length), in which case the batch may be
 // partially executed.
 func (c *Concurrent) ReadBatch(addrs []uint64, dst []byte) ([]error, error) {
-	ep := getBatchErrs(len(addrs))
-	failed, err := c.eng.ReadBatch(addrs, dst, *ep)
-	if err != nil || failed == 0 {
-		putBatchErrs(ep)
-		return nil, err
-	}
-	return *ep, nil
+	return c.ReadBatchTraced(addrs, dst, nil)
 }
 
 // WriteBatch writes len(addrs) lines from data (item i at data[i*64:]),
@@ -789,38 +787,25 @@ func (c *Concurrent) ReadBatch(addrs []uint64, dst []byte) ([]error, error) {
 // every item's read-modify-write plus both PLT delta updates run
 // inside that one critical section. Return contract as in ReadBatch.
 func (c *Concurrent) WriteBatch(addrs []uint64, data []byte) ([]error, error) {
-	ep := getBatchErrs(len(addrs))
-	failed, err := c.eng.WriteBatch(addrs, data, *ep)
-	if err != nil || failed == 0 {
-		putBatchErrs(ep)
-		return nil, err
-	}
-	return *ep, nil
+	return c.WriteBatchTraced(addrs, data, nil)
 }
 
 // ReadBatchTraced is ReadBatch with a request trace attached: the batch
 // planner's shard-grouping decision is noted once on tr (per-item
-// internals stay untraced). Return contract as in ReadBatch.
+// internals stay untraced; nil tr = untraced). Return contract as in
+// ReadBatch.
 func (c *Concurrent) ReadBatchTraced(addrs []uint64, dst []byte, tr *Trace) ([]error, error) {
 	ep := getBatchErrs(len(addrs))
-	failed, err := c.eng.ReadBatchTraced(addrs, dst, *ep, tr)
-	if err != nil || failed == 0 {
-		putBatchErrs(ep)
-		return nil, err
-	}
-	return *ep, nil
+	failed, err := c.eng.ReadBatch(addrs, dst, *ep, tr)
+	return batchResult(ep, failed, err)
 }
 
 // WriteBatchTraced is WriteBatch with a request trace attached; see
 // ReadBatchTraced.
 func (c *Concurrent) WriteBatchTraced(addrs []uint64, data []byte, tr *Trace) ([]error, error) {
 	ep := getBatchErrs(len(addrs))
-	failed, err := c.eng.WriteBatchTraced(addrs, data, *ep, tr)
-	if err != nil || failed == 0 {
-		putBatchErrs(ep)
-		return nil, err
-	}
-	return *ep, nil
+	failed, err := c.eng.WriteBatch(addrs, data, *ep, tr)
+	return batchResult(ep, failed, err)
 }
 
 // InjectFault flips one stored bit of the resident line holding addr.
