@@ -155,11 +155,20 @@ func New(opts Options) *Client {
 		ctr.Store(uint64(time.Now().UnixNano()))
 		nextID = func() uint64 { return ctr.Add(1) }
 	}
+	tr := h2c()
+	if r := opts.Resilience; r != nil && r.AttemptTimeout > 0 {
+		// A blackholed connection never answers, so the transport keeps
+		// routing new streams onto it, and eviction only closes it if it
+		// happens to have no stream in flight. An HTTP/2 PING health
+		// check closes such a connection once it has been silent for
+		// twice the attempt budget, so every later attempt dials fresh.
+		tr.HTTP2 = &http.HTTP2Config{SendPingTimeout: r.AttemptTimeout, PingTimeout: r.AttemptTimeout}
+	}
 	c := &Client{
 		base:    "http://" + opts.Addr,
 		codec:   opts.Codec,
 		nextID:  nextID,
-		hc:      &http.Client{Transport: h2c(), Timeout: opts.HTTPTimeout},
+		hc:      &http.Client{Transport: tr, Timeout: opts.HTTPTimeout},
 		evhc:    &http.Client{Transport: h2c()},
 		streams: make(map[*EventStream]struct{}),
 	}
@@ -303,7 +312,7 @@ func (c *Client) Read(ctx context.Context, tn string, addr uint64) ([]byte, erro
 		return nil, err
 	}
 	if resp.Status == wire.StatusPartial {
-		return nil, &ItemError{Errs: resp.Errs}
+		return nil, itemError(resp, 1)
 	}
 	if len(resp.Data) != LineBytes {
 		return nil, &ProtocolError{Detail: fmt.Sprintf("read returned %d bytes", len(resp.Data))}
@@ -318,7 +327,7 @@ func (c *Client) Write(ctx context.Context, tn string, addr uint64, data []byte)
 		return err
 	}
 	if resp.Status == wire.StatusPartial {
-		return &ItemError{Errs: resp.Errs}
+		return itemError(resp, 1)
 	}
 	return nil
 }
@@ -336,7 +345,7 @@ func (c *Client) ReadBatch(ctx context.Context, tn string, addrs []uint64) ([]by
 		return nil, &ProtocolError{Detail: fmt.Sprintf("batch read returned %d bytes, want %d", len(resp.Data), want)}
 	}
 	if resp.Status == wire.StatusPartial {
-		return resp.Data, &ItemError{Errs: resp.Errs}
+		return resp.Data, itemError(resp, len(addrs))
 	}
 	return resp.Data, nil
 }
@@ -349,9 +358,19 @@ func (c *Client) WriteBatch(ctx context.Context, tn string, addrs []uint64, data
 		return err
 	}
 	if resp.Status == wire.StatusPartial {
-		return &ItemError{Errs: resp.Errs}
+		return itemError(resp, len(addrs))
 	}
 	return nil
+}
+
+// itemError turns a partial response to an n-item request into an
+// *ItemError, or a *ProtocolError when the server's per-item verdicts
+// do not cover exactly the n items sent — callers index Errs by item.
+func itemError(resp *wire.Response, n int) error {
+	if len(resp.Errs) != n {
+		return &ProtocolError{Detail: fmt.Sprintf("partial response carries %d item errors for %d items", len(resp.Errs), n)}
+	}
+	return &ItemError{Errs: resp.Errs}
 }
 
 // Health fetches the engine health summary (bypasses admission

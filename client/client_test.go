@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -120,6 +121,118 @@ func TestTypedErrors(t *testing.T) {
 	}
 	if !errors.As(err, &te) || !Typed(err) {
 		t.Fatalf("OpError does not wrap a typed transport cause: %v", err)
+	}
+}
+
+// partialHandler answers every /v1/op frame with a StatusPartial
+// response carrying errs and n lines of data.
+func partialHandler(errs []string, n int) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h, _, err := wire.ReadFrame(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		payload, _ := wire.EncodeResponse(h.Codec, &wire.Response{
+			Status: wire.StatusPartial, Errs: errs, Data: make([]byte, n*LineBytes),
+		})
+		_ = wire.WriteFrame(w, wire.Header{
+			Version: wire.Version, Codec: h.Codec, Op: h.Op,
+			Flags: wire.FlagTrace, TraceID: h.TraceID,
+		}, payload)
+	})
+}
+
+// TestPartialErrsValidated: a partial response whose per-item verdicts
+// do not match the request's item count is a *ProtocolError, never an
+// *ItemError a caller would index out of range; a matching one is an
+// *ItemError.
+func TestPartialErrsValidated(t *testing.T) {
+	ctx := context.Background()
+	addrs := []uint64{0, 64, 128, 192}
+	short := New(Options{Addr: startFrameServer(t, partialHandler([]string{"due"}, 4))})
+	defer short.Close()
+	var pe *ProtocolError
+	if _, err := short.ReadBatch(ctx, "a", addrs); !errors.As(err, &pe) {
+		t.Fatalf("ReadBatch with 1 verdict for 4 items: %v, want *ProtocolError", err)
+	}
+	if err := short.WriteBatch(ctx, "a", addrs, make([]byte, 4*LineBytes)); !errors.As(err, &pe) {
+		t.Fatalf("WriteBatch with 1 verdict for 4 items: %v, want *ProtocolError", err)
+	}
+
+	none := New(Options{Addr: startFrameServer(t, partialHandler(nil, 1))})
+	defer none.Close()
+	if _, err := none.Read(ctx, "a", 0); !errors.As(err, &pe) {
+		t.Fatalf("Read with 0 verdicts: %v, want *ProtocolError", err)
+	}
+	if err := none.Write(ctx, "a", 0, make([]byte, LineBytes)); !errors.As(err, &pe) {
+		t.Fatalf("Write with 0 verdicts: %v, want *ProtocolError", err)
+	}
+
+	full := New(Options{Addr: startFrameServer(t, partialHandler([]string{"", "due", "", ""}, 4))})
+	defer full.Close()
+	var ie *ItemError
+	if _, err := full.ReadBatch(ctx, "a", addrs); !errors.As(err, &ie) || ie.Errs[1] != "due" {
+		t.Fatalf("ReadBatch with 4 verdicts: %v, want *ItemError", err)
+	}
+}
+
+// TestBlackholedConnRetired: with an attempt timeout armed, a
+// connection that never answers — here the first one dialed, which a
+// proxy in front of a healthy server swallows — is retired by the
+// HTTP/2 PING health check, so later requests reach the server on a
+// fresh connection instead of timing out on the dead one.
+func TestBlackholedConnRetired(t *testing.T) {
+	upstream := startFrameServer(t, echoHandler(nil))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for first := true; ; first = false {
+			down, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			t.Cleanup(func() { down.Close() })
+			if first {
+				continue // blackhole: hold it open, never forward a byte
+			}
+			up, err := net.Dial("tcp", upstream)
+			if err != nil {
+				return
+			}
+			t.Cleanup(func() { up.Close() })
+			go func() { _, _ = io.Copy(up, down) }()
+			go func() { _, _ = io.Copy(down, up) }()
+		}
+	}()
+	cl := New(Options{Addr: ln.Addr().String(), Resilience: &ResilienceOptions{
+		MaxAttempts:    1,
+		AttemptTimeout: 100 * time.Millisecond,
+		Breaker:        BreakerOptions{Disabled: true},
+	}})
+	defer cl.Close()
+	// Overlapping reads keep a stream in flight for the whole run, so
+	// the dead connection is never idle and eviction cannot close it.
+	const reads = 80
+	var late atomic.Int32 // successes in the second half
+	done := make(chan struct{}, reads)
+	for i := 0; i < reads; i++ {
+		go func(i int) {
+			if _, err := cl.Read(context.Background(), "a", 0); err == nil && i >= reads/2 {
+				late.Add(1)
+			}
+			done <- struct{}{}
+		}(i)
+		time.Sleep(25 * time.Millisecond)
+	}
+	for i := 0; i < reads; i++ {
+		<-done
+	}
+	if n := late.Load(); n < reads/4 {
+		t.Fatalf("%d of the last %d reads succeeded: requests stayed on the blackholed connection", n, reads/2)
 	}
 }
 

@@ -462,7 +462,9 @@ func (p *policy) hedgedAttempt(ctx context.Context, op uint8, req *wire.Request,
 				return nil, launched > 1, err
 			}
 		case <-timer.C:
-			if launched == 1 {
+			// Re-check the budget at launch: every op in flight passed
+			// the start check before any of their hedges counted.
+			if launched == 1 && p.hedgeBudgetOK() {
 				launched = 2
 				p.hedges.Inc()
 				p.attempts.Inc()

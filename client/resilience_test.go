@@ -369,6 +369,51 @@ func TestHedgeBudget(t *testing.T) {
 	}
 }
 
+// TestHedgeBudgetConcurrent: the budget binds when a hedge launches,
+// not only when its operation starts. Every op here passes the start
+// check together and then waits out the hedge delay, so a start-only
+// check would launch one hedge per op.
+func TestHedgeBudgetConcurrent(t *testing.T) {
+	p := newPolicy(ResilienceOptions{
+		MaxAttempts: 1, Seed: 1,
+		Hedge: HedgeOptions{
+			Enabled: true, MinSamples: 1,
+			MinDelay: 20 * time.Millisecond, MaxDelay: 20 * time.Millisecond,
+			BudgetFraction: 0.10,
+		},
+	})
+	p.lat.ObserveNs(int64(time.Millisecond))
+	p.attempts.Add(100) // history: the budget admits ~10 more hedges
+	release := make(chan struct{})
+	p.attempt = func(ctx context.Context, op uint8, req *wire.Request) (*wire.Response, error) {
+		select {
+		case <-release:
+			return okResponse(), nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	const ops = 32
+	done := make(chan error, ops)
+	for i := 0; i < ops; i++ {
+		go func() {
+			_, err := p.run(context.Background(), wire.OpRead, &wire.Request{})
+			done <- err
+		}()
+	}
+	time.Sleep(100 * time.Millisecond) // every hedge timer has fired
+	close(release)
+	for i := 0; i < ops; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	limit := int64(0.10*float64(p.attempts.Value())) + 2
+	if h := p.hedges.Value(); h > limit {
+		t.Fatalf("hedges = %d of %d attempts, budget allows %d", h, p.attempts.Value(), limit)
+	}
+}
+
 // TestAttemptTimeoutIsRetryableTransportFault: an attempt that
 // outlives AttemptTimeout while the caller is still live is a hung
 // connection, not a caller giving up — it must be retried, typed as a

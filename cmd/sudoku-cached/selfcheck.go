@@ -65,7 +65,7 @@ func selfcheck(mux http.Handler, eng *sudoku.Concurrent, drains []lifecycle.Step
 	fmt.Fprintln(out, "selfcheck: degraded mode shed writes, served reads, recovered")
 
 	// Every client op above carried trace context into the server.
-	rec, err := fetchFlightRecord(base + "/debug/flightrec")
+	rec, err := reqtrace.FetchRecord(base + "/debug/flightrec")
 	if err != nil {
 		return fmt.Errorf("selfcheck flightrec: %w", err)
 	}
@@ -277,7 +277,7 @@ func checkCounters(first, second map[string]float64) (int, error) {
 // the probed lines keeps the scrub's follow-up work to one RAID
 // reconstruction per line; extra rounds absorb the rare line the scrub
 // reaches first. traced is the number of traces the probe began.
-func traceProbe(base string, c *sudoku.Concurrent) (rec *sudoku.FlightRecord, traced int, err error) {
+func traceProbe(base string, c *sudoku.Concurrent) (rec *reqtrace.FlightRecord, traced int, err error) {
 	window := uint64(min(probeWindow, c.Geometry().Lines))
 	rbuf := make([]byte, 64)
 	for round := uint64(0); round < 5; round++ {
@@ -294,19 +294,16 @@ func traceProbe(base string, c *sudoku.Concurrent) (rec *sudoku.FlightRecord, tr
 			_, _ = c.TraceRead(uint64(0xb10b)<<32|a, a*64, rbuf)
 		}
 		traced += 2 * int(window)
-		rec, err := fetchFlightRecord(base + "/debug/flightrec")
+		rec, err := reqtrace.FetchRecord(base + "/debug/flightrec")
 		if err != nil {
 			return nil, traced, err
 		}
-		if err := checkFlightRecord(rec); err != nil {
+		if err := rec.Check(); err != nil {
 			return nil, traced, err
 		}
 		for _, tj := range rec.Traces {
-			for _, s := range tj.Spans {
-				switch s.Kind {
-				case "raid_reconstruct", "sdr", "hash2_retry", "due_refetch", "due_data_loss":
-					return rec, traced, nil
-				}
+			if tj.Deep() {
+				return rec, traced, nil
 			}
 		}
 	}
@@ -315,45 +312,6 @@ func traceProbe(base string, c *sudoku.Concurrent) (rec *sudoku.FlightRecord, tr
 
 // probeWindow is the number of lines traceProbe faults per round.
 const probeWindow = 64
-
-// fetchFlightRecord scrapes and decodes one /debug/flightrec snapshot.
-func fetchFlightRecord(url string) (*sudoku.FlightRecord, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	rec := new(sudoku.FlightRecord)
-	if err := json.NewDecoder(resp.Body).Decode(rec); err != nil {
-		return nil, fmt.Errorf("flightrec JSON: %w", err)
-	}
-	return rec, nil
-}
-
-// checkFlightRecord applies the structural gates every snapshot must
-// pass: non-empty, consistent counters, monotone span timestamps, and
-// ladder-ordered repair rungs in every trace.
-func checkFlightRecord(rec *sudoku.FlightRecord) error {
-	if len(rec.Traces) == 0 {
-		return errors.New("flight recorder is empty")
-	}
-	if rec.Published < int64(len(rec.Traces)) {
-		return fmt.Errorf("published_total %d below %d recorded traces",
-			rec.Published, len(rec.Traces))
-	}
-	for _, tj := range rec.Traces {
-		if _, err := reqtrace.ParseID(tj.ID); err != nil {
-			return fmt.Errorf("trace id %q: %w", tj.ID, err)
-		}
-		if !reqtrace.RungOrderOK(tj.SpansDecoded()) {
-			return fmt.Errorf("trace %s violates rung order: %+v", tj.ID, tj.Spans)
-		}
-	}
-	return nil
-}
 
 // scrape fetches one exposition and re-parses it with the strict
 // checker, returning the flattened sample map.

@@ -5,13 +5,14 @@
 // churn line retirement, and corrupts parity lines to trip region
 // quarantine — all under concurrent load.
 //
-// Every load goroutine owns a disjoint slice of the line space and
-// shadow-verifies its own reads with generation-stamped content, so
-// silent data corruption cannot hide: a successful read that fails
-// verification is recorded as an SDC event. The run fails (non-zero
-// exit) if any SDC is observed or any clean-line DUE recovery fails;
-// dirty-line data loss and retirements are expected storm casualties
-// and are reported, not gated.
+// The load is the engine fleet (runShadowLoad, shared with the
+// restore cycle): every goroutine owns a disjoint slice of the line
+// space and shadow-verifies its own reads with generation-stamped
+// content, so silent data corruption cannot hide — a successful read
+// that fails verification is recorded as an SDC event. The run fails
+// (non-zero exit) if any SDC is observed or any clean-line DUE
+// recovery fails; dirty-line data loss and retirements are expected
+// storm casualties and are reported, not gated.
 package main
 
 import (
@@ -49,10 +50,13 @@ func mixWord(addr, gen uint64) uint64 {
 }
 
 // fillLine stamps buf (64 bytes) with generation gen for addr: word 0
-// carries the generation, words 1..7 the mix pattern. Bit 7 of byte 0
-// is part of the generation's low byte; generations stay small, so the
-// stuck-at bit the churner pins (bit 7, stuck to 1) deviates whenever
-// the line is resident with gen < 128 — i.e. practically always.
+// carries the generation, words 1..7 the mix pattern. Both fleets fill
+// lines with it (the client fleet passes its line version as gen), so
+// content from another line or another generation never matches. Bit
+// 7 of byte 0 is part of the generation's low byte; generations stay
+// small, so the stuck-at bit plantStuck pins (bit 7, stuck to 1)
+// deviates whenever the line is resident with gen < 128 — i.e.
+// practically always.
 func fillLine(buf []byte, addr, gen uint64) {
 	binary.LittleEndian.PutUint64(buf[0:], gen)
 	w := mixWord(addr, gen)
@@ -194,7 +198,6 @@ func runChaos(o options, out io.Writer) error {
 	lines := uint64(o.cachemb << 20 / 64)
 	var cnt chaosCounters
 	deadline := time.Now().Add(o.duration)
-	var wg sync.WaitGroup
 
 	// Campaign stepper: a dedicated clock-anchored goroutine, so the
 	// plan's interval schedule (and with it any bounded burst window)
@@ -204,87 +207,18 @@ func runChaos(o options, out io.Writer) error {
 		stopStepper = faultmodel.Step(plan, o.scrub, false, applyFaults(c))
 	}
 
-	// Load fleet: goroutine g owns lines ≡ g (mod goroutines+1);
-	// residue `goroutines` is reserved for the chaos controller's
-	// stuck-at churn so nobody shadow-verifies a deliberately broken
-	// line.
-	stride := uint64(o.goroutines + 1)
-	master := rng.New(o.seed)
-	for g := 0; g < o.goroutines; g++ {
-		src := master.Split()
-		wg.Add(1)
-		go func(g uint64, src *rng.Source) {
-			defer wg.Done()
-			owned := lines / stride // owned line k is line index k*stride+g
-			if owned == 0 {
-				return
-			}
-			// shadow[line] is the highest generation ever written to
-			// the line. It is monotone and never deleted: after a
-			// dirty-line DUE the backing store can still hold an older
-			// write, so any generation ≤ the max with a matching mix
-			// pattern is legitimate stale-but-consistent content. Only
-			// a mix mismatch or a generation above the max is an SDC.
-			shadow := make(map[uint64]uint64)
-			buf := make([]byte, 64)
-			rbuf := make([]byte, 64)
-			n := int64(0)
-			for {
-				if n%128 == 0 && time.Now().After(deadline) {
-					break
-				}
-				n++
-				line := src.Uint64n(owned)*stride + g
-				addr := line * 64
-				if src.Float64() < o.readfrac {
-					err := c.ReadInto(addr, rbuf)
-					if err != nil {
-						// A dirty-line DUE: our latest write is lost, the
-						// slot discarded; a later read refetches older
-						// backing content. Visible loss, not silent.
-						cnt.dues.Add(1)
-						continue
-					}
-					if last, tracked := shadow[line]; tracked {
-						if ok, detail := verifyLine(rbuf, addr, last); !ok {
-							cnt.sdc.Add(1)
-							c.RecordSDC(addr, detail)
-						} else if last > 0 && isZero(rbuf) {
-							cnt.lost.Add(1) // discarded before first write-back
-						}
-					}
-				} else {
-					gen := shadow[line] + 1
-					fillLine(buf, addr, gen)
-					// Record the generation even if the write errors:
-					// it may have partially landed, and gens must stay
-					// monotone per line for verification to be sound.
-					shadow[line] = gen
-					if err := c.Write(addr, buf); err != nil {
-						cnt.dues.Add(1)
-					}
-				}
-			}
-			cnt.ops.Add(n)
-		}(uint64(g), src)
-	}
-
 	// Chaos controller: extra whole-cache storms, daemon kill/restart,
-	// stuck-at retirement churn (one bit per distinct line, so a clean
-	// line's refetch recovery always converges), parity corruption, and
-	// periodic region rebuilds.
+	// stuck-at retirement churn (at most 16 lines, one bit per distinct
+	// line, so a clean line's refetch recovery always converges), parity
+	// corruption, and periodic region rebuilds.
 	ctlDone := make(chan struct{})
 	go func() {
 		defer close(ctlDone)
 		src := rng.New(o.seed ^ 0xc4a05)
-		groups := c.ParityGroups()
-		stuckNext := uint64(0)
-		stuckPool := lines / stride // controller-owned lines: k*stride + goroutines
 		buf := make([]byte, 64)
-		tick := 0
-		for time.Now().Before(deadline) {
+		stuckNext := uint64(0)
+		for tick := 1; time.Now().Before(deadline); tick++ {
 			time.Sleep(o.scrub)
-			tick++
 			if plan == nil {
 				// An extra whole-cache burst on top of the daemon's
 				// per-pass storms. (Campaign mode replaces this with the
@@ -293,13 +227,8 @@ func runChaos(o options, out io.Writer) error {
 				// schedule.)
 				_ = c.InjectRandomFaults(src.Uint64(), chaosStormBudget(int(lines))/2)
 			}
-			if tick%3 == 0 && groups > 0 {
-				shard := int(src.Uint64n(uint64(c.Shards())))
-				group := int(src.Uint64n(uint64(groups)))
-				bit := int(src.Uint64n(553))
-				if c.InjectParityFault(shard, group, bit) == nil {
-					cnt.parityFaults.Add(1)
-				}
+			if tick%3 == 0 {
+				corruptParity(c, src, &cnt)
 			}
 			if tick%5 == 0 {
 				if c.StopScrub() == nil {
@@ -309,13 +238,8 @@ func runChaos(o options, out io.Writer) error {
 					}
 				}
 			}
-			if tick%4 == 0 && stuckPool > 0 && stuckNext < 16 {
-				line := (stuckNext%stuckPool)*stride + uint64(o.goroutines)
-				addr := line * 64
-				fillLine(buf, addr, 1) // resident, dirty, bit 7 of byte 0 clear
-				if c.Write(addr, buf) == nil && c.InjectStuckAt(addr, 7, true) == nil {
-					cnt.stuckPlanted.Add(1)
-				}
+			if tick%4 == 0 && stuckNext < 16 {
+				plantStuck(c, o, lines, stuckNext, buf, &cnt)
 				stuckNext++
 			}
 			if tick%7 == 0 {
@@ -325,8 +249,7 @@ func runChaos(o options, out io.Writer) error {
 			}
 		}
 	}()
-
-	wg.Wait()
+	runShadowLoad(c, o, lines, deadline, &cnt, o.seed)
 	<-ctlDone
 	stopStepper()
 	<-stormReady // the calibrator owns StartStormControl; join before judging
@@ -364,20 +287,11 @@ func runChaos(o options, out io.Writer) error {
 	}
 	stormFinal := c.StormState()
 	stormStats := c.StormStats()
-	_ = c.StopStormControl()
-	_ = c.StopScrub()
-	// Settle: return quarantined regions to service and let two full
-	// synchronous passes drain the repair backlog before judging.
-	if _, err := c.RebuildQuarantined(); err != nil {
+	h, err := settleEngine(c)
+	if err != nil {
 		return err
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := c.Scrub(); err != nil {
-			return err
-		}
-	}
 
-	h := c.Health()
 	st := c.Stats()
 	scrub := c.ScrubStats()
 	fmt.Fprintf(out, "chaos: shards=%d ops=%d storm=%d/interval (10x paper BER)\n",
@@ -405,11 +319,8 @@ func runChaos(o options, out io.Writer) error {
 			fmt.Fprintf(out, "event: %v\n", ev)
 		}
 	}
-	if h.Counts.SDC > 0 {
-		return fmt.Errorf("chaos: %d silent data corruptions detected", h.Counts.SDC)
-	}
-	if h.Counts.RecoveryFailed > 0 {
-		return fmt.Errorf("chaos: %d clean-line DUE recoveries failed", h.Counts.RecoveryFailed)
+	if err := rasGate("chaos", h); err != nil {
+		return err
 	}
 	if plan != nil && boundedPressure(cam) {
 		// A bounded pressure window (e.g. the burst preset) must both
@@ -423,6 +334,137 @@ func runChaos(o options, out io.Writer) error {
 		}
 	}
 	fmt.Fprintln(out, "chaos: PASS (zero SDC, all clean-line DUEs recovered)")
+	return nil
+}
+
+// runShadowLoad is the engine fleet: it runs o.goroutines shadow-
+// verifying workers against eng until deadline, seeded from seed.
+// Goroutine g owns lines ≡ g (mod goroutines+1); residue `goroutines`
+// is left to plantStuck, so nobody shadow-verifies a deliberately
+// broken line.
+func runShadowLoad(eng *sudoku.Concurrent, o options, lines uint64, deadline time.Time, cnt *chaosCounters, seed uint64) {
+	stride := uint64(o.goroutines + 1)
+	master := rng.New(seed)
+	var wg sync.WaitGroup
+	for g := 0; g < o.goroutines; g++ {
+		src := master.Split()
+		wg.Add(1)
+		go func(g uint64, src *rng.Source) {
+			defer wg.Done()
+			owned := lines / stride
+			if owned == 0 {
+				return
+			}
+			// shadow[line] is the highest generation ever written to
+			// the line. It is monotone and never deleted: after a
+			// dirty-line DUE the backing store can still hold an older
+			// write, so any generation ≤ the max with a matching mix
+			// pattern is legitimate stale-but-consistent content. Only
+			// a mix mismatch or a generation above the max is an SDC.
+			shadow := make(map[uint64]uint64)
+			buf := make([]byte, 64)
+			rbuf := make([]byte, 64)
+			n := int64(0)
+			for {
+				if n%128 == 0 && time.Now().After(deadline) {
+					break
+				}
+				n++
+				line := src.Uint64n(owned)*stride + g
+				addr := line * 64
+				if src.Float64() < o.readfrac {
+					if err := eng.ReadInto(addr, rbuf); err != nil {
+						// A dirty-line DUE: our latest write is lost, the
+						// slot discarded; a later read refetches older
+						// backing content. Visible loss, not silent.
+						cnt.dues.Add(1)
+						continue
+					}
+					if last, tracked := shadow[line]; tracked {
+						if ok, detail := verifyLine(rbuf, addr, last); !ok {
+							cnt.sdc.Add(1)
+							eng.RecordSDC(addr, detail)
+						} else if last > 0 && isZero(rbuf) {
+							cnt.lost.Add(1) // discarded before first write-back
+						}
+					}
+				} else {
+					gen := shadow[line] + 1
+					fillLine(buf, addr, gen)
+					// Record the generation even if the write errors:
+					// it may have partially landed, and gens must stay
+					// monotone per line for verification to be sound.
+					shadow[line] = gen
+					if err := eng.Write(addr, buf); err != nil {
+						cnt.dues.Add(1)
+					}
+				}
+			}
+			cnt.ops.Add(n)
+		}(uint64(g), src)
+	}
+	wg.Wait()
+}
+
+// plantStuck is the retirement churn: it writes generation 1 to the
+// k-th controller-owned line (residue `goroutines` of the fleet's
+// stride, wrapping over the pool) — resident, dirty, bit 7 of byte 0
+// clear — and pins that bit stuck at 1.
+func plantStuck(c *sudoku.Concurrent, o options, lines, k uint64, buf []byte, cnt *chaosCounters) {
+	stride := uint64(o.goroutines + 1)
+	pool := lines / stride
+	if pool == 0 {
+		return
+	}
+	addr := ((k%pool)*stride + uint64(o.goroutines)) * 64
+	fillLine(buf, addr, 1)
+	if c.Write(addr, buf) == nil && c.InjectStuckAt(addr, 7, true) == nil {
+		cnt.stuckPlanted.Add(1)
+	}
+}
+
+// corruptParity is the quarantine churn: it flips one random bit of one
+// random shard's parity line.
+func corruptParity(c *sudoku.Concurrent, src *rng.Source, cnt *chaosCounters) {
+	groups := c.ParityGroups()
+	if groups == 0 {
+		return
+	}
+	shard := int(src.Uint64n(uint64(c.Shards())))
+	group := int(src.Uint64n(uint64(groups)))
+	bit := int(src.Uint64n(553))
+	if c.InjectParityFault(shard, group, bit) == nil {
+		cnt.parityFaults.Add(1)
+	}
+}
+
+// settleEngine ends a soak: it stops the storm controller and the scrub
+// daemon, returns quarantined regions to service, and lets two full
+// synchronous passes drain the repair backlog before judging. It
+// returns the engine's health afterwards.
+func settleEngine(c *sudoku.Concurrent) (sudoku.Health, error) {
+	_ = c.StopStormControl()
+	_ = c.StopScrub()
+	if _, err := c.RebuildQuarantined(); err != nil {
+		return sudoku.Health{}, err
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := c.Scrub(); err != nil {
+			return sudoku.Health{}, err
+		}
+	}
+	return c.Health(), nil
+}
+
+// rasGate is the engine fleet's verdict: zero silent data corruptions
+// and zero failed clean-line DUE recoveries.
+func rasGate(mode string, h sudoku.Health) error {
+	if h.Counts.SDC > 0 {
+		return fmt.Errorf("%s: %d silent data corruptions detected", mode, h.Counts.SDC)
+	}
+	if h.Counts.RecoveryFailed > 0 {
+		return fmt.Errorf("%s: %d clean-line DUE recoveries failed", mode, h.Counts.RecoveryFailed)
+	}
 	return nil
 }
 

@@ -8,25 +8,36 @@
 //
 //	sudoku-stress [-engine sharded|global|compare] [-goroutines 8]
 //	              [-duration 2s] [-cachemb 1] [-shards 0] [-readfrac 0.7]
-//	              [-storm 50] [-scrub 20ms] [-seed 1] [-quiet] [-chaos]
-//
-// Server swarm mode (-server host:port) drives a running sudoku-cached
-// daemon through the client package instead of an in-process engine:
-// each goroutine shadow-verifies its own address stripe, an event tap
-// streams the tenant's RAS feed, and optional gates (-p99gate,
-// -requireshed, -requirestorm) turn the run into a CI smoke check.
-//
-// Chaos mode (-chaos) ignores -engine and -storm: it soaks the sharded
-// engine's RAS pipeline under 10× the paper's bit-error rate with
-// scrub-daemon kill/restart churn, permanent-fault retirement churn,
-// and parity-line corruption, shadow-verifying every read. The process
-// exits non-zero if any silent data corruption or failed clean-line
-// DUE recovery is observed.
+//	              [-storm 50] [-scrub 20ms] [-seed 1] [-quiet]
+//	              [-campaign name|file.json] [-chaos] [-restore-cycle]
 //
 // The global engine is the single-lock cache.STTRAM; the sharded
 // engine is the bank-sharded shard.Engine behind sudoku.NewConcurrent.
 // Compare mode runs both with identical parameters and prints the
 // throughput ratio.
+//
+// Two shadow-verifying fleets turn the tool into CI gates. Their
+// shadow contracts differ on purpose, so they stay separate:
+//
+//   - The engine fleet (runShadowLoad) drives an in-process sharded
+//     engine. Chaos mode (-chaos) ignores -engine and -storm: it soaks
+//     the engine's RAS pipeline under 10× the paper's bit-error rate
+//     with scrub-daemon kill/restart churn, stuck-at retirement churn
+//     and parity-line corruption. Restore-cycle mode (-restore-cycle)
+//     checkpoints under a campaign, tears the snapshot mid-write, and
+//     restores a fresh engine from the previous generation. A read may
+//     return any generation the line ever held after a dirty-line DUE,
+//     but only as written; either mode exits non-zero on any silent
+//     data corruption or failed clean-line DUE recovery.
+//   - The client fleet (runFleet) drives a running sudoku-cached daemon
+//     through the client package (-server host:port) and requires an
+//     exact version match on every read. An event tap streams the
+//     tenant's RAS feed, and the run fails on SDC, failed operations or
+//     dropped tap events; optional gates (-p99gate, -requireshed,
+//     -requirestorm, -tracegate) extend it. -netchaos routes the same
+//     fleet through an in-process fault-injecting proxy with the
+//     client's resilience policy armed and adds the typed-error,
+//     breaker-cycle, hedge-budget, faults-fired and progress gates.
 package main
 
 import (
@@ -132,12 +143,6 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if o.server != "" {
-		if o.batchfrac < 0 || o.batchfrac > 1 {
-			return fmt.Errorf("batchfrac %g outside [0, 1]", o.batchfrac)
-		}
-		if o.netchaos != "" {
-			return runNetchaosGate(o, out)
-		}
 		return runServerSwarm(o, out)
 	}
 	if o.netchaos != "" {

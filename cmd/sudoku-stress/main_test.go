@@ -76,19 +76,52 @@ func TestRunChaos(t *testing.T) {
 	}
 }
 
-func TestRunErrors(t *testing.T) {
-	cases := [][]string{
-		{"-engine", "nope"},
-		{"-goroutines", "0"},
-		{"-duration", "0s"},
-		{"-readfrac", "1.5"},
-		{"-storm", "-1"},
-		{"-scrub", "0s"},
-		{"-shards", "5"},
+// TestRunRestoreCycle is the restore smoke: checkpoint under a
+// campaign, tear the current snapshot, restore from the previous
+// generation, and survive a second shadow-verified load phase.
+func TestRunRestoreCycle(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{
+		"-restore-cycle", "-goroutines", "4", "-duration", "400ms",
+		"-cachemb", "1", "-scrub", "5ms", "-quiet",
+	}, &out)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
 	}
-	for _, args := range cases {
-		if err := run(args, &bytes.Buffer{}); err == nil {
-			t.Fatalf("args %v accepted", args)
+	if !strings.Contains(out.String(), "restore-cycle: PASS") {
+		t.Fatalf("output:\n%s", out.String())
+	}
+}
+
+func TestRunErrors(t *testing.T) {
+	// The swarm cases fail flag validation before dialing; the address
+	// is never contacted.
+	const srv = "127.0.0.1:1"
+	cases := []struct {
+		args []string
+		want string // substring of the error; "" accepts any
+	}{
+		{[]string{"-engine", "nope"}, ""},
+		{[]string{"-goroutines", "0"}, ""},
+		{[]string{"-duration", "0s"}, ""},
+		{[]string{"-readfrac", "1.5"}, ""},
+		{[]string{"-storm", "-1"}, ""},
+		{[]string{"-scrub", "0s"}, ""},
+		{[]string{"-shards", "5"}, ""},
+		{[]string{"-server", srv, "-codec", "xml"}, "codec"},
+		{[]string{"-server", srv, "-lines", "0"}, "lines"},
+		{[]string{"-server", srv, "-batchfrac", "2"}, "batchfrac"},
+		{[]string{"-netchaos", "gate"}, "requires -server"},
+		{[]string{"-server", srv, "-netchaos", "gate", "-tracegate"}, "tracegate"},
+		{[]string{"-server", srv, "-netchaos", "nope"}, `"nope"`},
+	}
+	for _, tc := range cases {
+		err := run(tc.args, &bytes.Buffer{})
+		if err == nil {
+			t.Fatalf("args %v accepted", tc.args)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("args %v: error %q does not mention %q", tc.args, err, tc.want)
 		}
 	}
 }

@@ -4,28 +4,25 @@
 // gate: the client package's retry/hedge/breaker policy must convert a
 // hostile network into nothing worse than typed errors at the caller.
 //
-// Two planes, deliberately separated:
+// The swarm runner (serverload.go) runs unchanged apart from three
+// things this file supplies. The data-plane client dials the proxy
+// with the full resilience policy armed: retries with jittered
+// backoff, hedged reads, per-endpoint circuit breakers, per-attempt
+// deadlines (which also exercise wire deadline propagation
+// server-side); the observer plane keeps dialing the server directly —
+// the instruments must keep reading while the patient is being
+// electrocuted. The stop signal comes from the phase loop (drive), which
+// steps the plan's timeline (the "gate" preset is warmup → weather →
+// broken → partition → recovery), holds any violent phase until its
+// fault class has demonstrably fired, and stops the fleet once the
+// final, clean phase has let half-open probes close the breaker again
+// (or -settle has passed). And these gates join the swarm's zero-SDC,
+// tap-drop and optional ones:
 //
-//   - The data plane (the worker fleet) dials the proxy with the full
-//     resilience policy armed: retries with jittered backoff, hedged
-//     reads, per-endpoint circuit breakers, per-attempt deadlines
-//     (which also exercise wire deadline propagation server-side).
-//   - The observer plane (health poll, RAS tap, metrics scrape) dials
-//     the server directly, bypassing the chaos — the instruments must
-//     keep reading while the patient is being electrocuted.
-//
-// The phase driver steps the plan's timeline (the "gate" preset is
-// warmup → weather → broken → partition → recovery), holding any
-// violent phase until the breaker has actually opened (and a blackhole
-// phase until a connection has actually been swallowed), then ends in
-// the final phase so half-open probes can close the breaker again.
-//
-// Exit gates, all mandatory:
-//
-//	zero SDC          every read shadow-verifies; a write whose outcome
-//	                  is unknown (failed after retries) just invalidates
-//	                  its shadow entry, it never excuses wrong data
-//	zero untyped      every worker error must satisfy client.Typed
+//	zero untyped      every worker error must satisfy client.Typed; a
+//	                  write whose outcome is unknown (failed after
+//	                  retries) just invalidates its shadow entry, it
+//	                  never excuses wrong data
 //	breaker cycle     opens ≥ 1, half-opens ≥ 1, closes ≥ 1 whenever the
 //	                  plan contains connection-killing faults
 //	hedges bounded    launched hedges ≤ budget fraction of attempts
@@ -34,93 +31,39 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sudoku/client"
 	"sudoku/internal/netchaos"
-	"sudoku/internal/rng"
-	"sudoku/internal/server/wire"
-	"sudoku/internal/telemetry"
 )
 
 // chaosPresetList renders the built-in plan names for flag help.
 func chaosPresetList() string { return strings.Join(netchaos.PresetNames(), ", ") }
 
-// resolveChaosPlan loads a preset by name or a strict-JSON plan file.
-func resolveChaosPlan(spec string) (netchaos.Plan, error) {
-	if strings.ContainsAny(spec, "./\\") {
-		data, err := os.ReadFile(spec)
-		if err != nil {
-			return netchaos.Plan{}, fmt.Errorf("netchaos plan file: %w", err)
-		}
-		return netchaos.Parse(data)
-	}
-	return netchaos.Preset(spec)
+// chaosPlane is the -netchaos data plane: the proxy running the plan
+// and the resilient client that dials it.
+type chaosPlane struct {
+	plan netchaos.Plan
+	seed uint64
+	px   *netchaos.Proxy
+	rpol *client.ResilienceOptions
+	cl   *client.Client
 }
 
-// chaosResult aggregates the netchaos run.
-type chaosResult struct {
-	ops     int64
-	sheds   int64
-	dues    int64
-	sdcs    int64
-	faults  int64 // typed transport/breaker errors surfaced to workers
-	untyped int64
-	events  int64
-	elapsed time.Duration
-	hist    telemetry.HistogramSnapshot
-}
-
-// runNetchaosGate drives the daemon through the fault proxy.
-func runNetchaosGate(o options, out io.Writer) error {
-	codec := wire.CodecBinary
-	if o.codec == "json" {
-		codec = wire.CodecJSON
-	} else if o.codec != "" && o.codec != "binary" {
-		return fmt.Errorf("codec %q: want binary or json", o.codec)
-	}
-	if o.lines <= 0 {
-		return fmt.Errorf("lines %d", o.lines)
-	}
-	if o.batch <= 0 {
-		o.batch = 16
-	}
-	if o.tracegate {
-		return errors.New("-tracegate is not supported with -netchaos (resets evict the recorder's ring mid-run)")
-	}
-	plan, err := resolveChaosPlan(o.netchaos)
-	if err != nil {
-		return err
-	}
-
-	// Observer plane: direct to the server, no chaos, no resilience.
-	obs := client.New(client.Options{Addr: o.server, Codec: codec})
-	defer obs.Close()
-	ctx := context.Background()
-	if _, err := obs.Health(ctx, o.tenant); err != nil {
-		return fmt.Errorf("server %s tenant %s unreachable: %w", o.server, o.tenant, err)
-	}
-
+// newChaosPlane starts the proxy running plan in front of o.server.
+func newChaosPlane(o options, plan netchaos.Plan, codec uint8) (*chaosPlane, error) {
 	px, err := netchaos.New(o.server, plan, o.seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer px.Close()
-
-	// Data plane: the full production policy plus hedged reads, with a
-	// snappier breaker cooldown so one run can watch a whole
-	// open → half-open → closed cycle. AttemptTimeout doubles as the
-	// wire deadline stamp, so every attempt also exercises the server's
-	// budget-shedding path.
+	// The full production policy plus hedged reads, with a snappier
+	// breaker cooldown so one run can watch a whole open → half-open →
+	// closed cycle. AttemptTimeout doubles as the wire deadline stamp,
+	// so every attempt also exercises the server's budget-shedding path.
 	rpol := &client.ResilienceOptions{
 		AttemptTimeout: time.Second,
 		Seed:           o.seed,
@@ -128,353 +71,81 @@ func runNetchaosGate(o options, out io.Writer) error {
 		Breaker:        client.BreakerOptions{Cooldown: 500 * time.Millisecond},
 	}
 	cl := client.New(client.Options{Addr: px.Addr(), Codec: codec, Resilience: rpol})
-	defer cl.Close()
+	return &chaosPlane{plan: plan, seed: o.seed, px: px, rpol: rpol, cl: cl}, nil
+}
 
-	res := &chaosResult{}
+func (c *chaosPlane) close() {
+	_ = c.cl.Close()
+	_ = c.px.Close()
+}
 
-	// RAS tap, on the observer plane for the whole run.
-	tapCtx, tapCancel := context.WithCancel(ctx)
-	defer tapCancel()
-	var tapWG sync.WaitGroup
-	stream, err := obs.Events(tapCtx, o.tenant)
-	if err != nil {
-		return fmt.Errorf("event tap: %w", err)
-	}
-	tapWG.Add(1)
-	go func() {
-		defer tapWG.Done()
-		defer stream.Close()
-		for {
-			if _, err := stream.Next(); err != nil {
-				return
+// drive steps the plan's phases and returns once the timeline is done;
+// the fleet runs until then, so a held phase stretches the run instead
+// of starving the recovery phase of traffic. Each phase dwells for its
+// share of duration (at least 100ms). A fault phase is then held (up
+// to 2 more dwells) until its fault class has demonstrably fired: a
+// kill phase must open the breaker, a truncation phase must tear at
+// least one response, a blackhole phase must swallow a connection.
+// Without the hold, a server-side storm window that overlaps the phase
+// can starve it of traffic and the gate would assert on faults that
+// never happened. The final phase is held (up to settle) until an
+// opened breaker has closed again: breakers are per operation class,
+// and only the fleet carries every class, so only it can feed the
+// half-open probe of whichever breaker opened.
+func (c *chaosPlane) drive(duration, settle time.Duration, out io.Writer) {
+	dwell := max(duration/time.Duration(len(c.plan.Phases)), 100*time.Millisecond)
+	prev := c.px.Stats()
+	for i, ph := range c.plan.Phases {
+		c.px.SetPhase(i)
+		fmt.Fprintf(out, "netchaos: phase %d/%d %q for %v\n", i+1, len(c.plan.Phases), ph.Name, dwell)
+		time.Sleep(dwell)
+		needKill := ph.ResetProb+ph.TornProb > 0
+		needTrunc := ph.TruncProb > 0
+		needHole := ph.BlackholeProb > 0
+		for hold := time.Now().Add(2 * dwell); (needKill || needTrunc || needHole) && time.Now().Before(hold); {
+			st := c.px.Stats()
+			if (!needKill || c.cl.ResilienceStats().BreakerOpens > 0) &&
+				(!needTrunc || st.Truncations > prev.Truncations) &&
+				(!needHole || st.Blackholed > prev.Blackholed) {
+				break
 			}
-			atomic.AddInt64(&res.events, 1)
+			time.Sleep(20 * time.Millisecond)
 		}
-	}()
-
-	// Storm ladder watcher, also on the observer plane.
-	stormRank := map[string]int{"normal": 0, "elevated": 1, "critical": 2}
-	pollStorm := func() string {
-		h, err := obs.Health(ctx, o.tenant)
-		if err != nil {
-			return ""
+		st := c.px.Stats()
+		fmt.Fprintf(out, "netchaos: phase %q injected resets=%d torn=%d truncated=%d blackholed=%d delayed=%d\n",
+			ph.Name, st.Resets-prev.Resets, st.TornWrites-prev.TornWrites,
+			st.Truncations-prev.Truncations, st.Blackholed-prev.Blackholed, st.Delayed-prev.Delayed)
+		prev = st
+	}
+	for hold := time.Now().Add(settle); time.Now().Before(hold); {
+		if st := c.cl.ResilienceStats(); st.BreakerOpens == 0 || st.BreakerCloses > 0 {
+			return
 		}
-		return h.Storm
-	}
-	pollCtx, pollCancel := context.WithCancel(ctx)
-	defer pollCancel()
-	var pollWG sync.WaitGroup
-	var maxSeen atomic.Int32
-	pollWG.Add(1)
-	go func() {
-		defer pollWG.Done()
-		tick := time.NewTicker(50 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-pollCtx.Done():
-				return
-			case <-tick.C:
-				if s := pollStorm(); stormRank[s] > int(maxSeen.Load()) {
-					maxSeen.Store(int32(stormRank[s]))
-				}
-			}
-		}
-	}()
-
-	// Phase driver: the fleet runs until the timeline completes, so a
-	// held phase stretches the run instead of starving the recovery
-	// phase of traffic. A violent phase (one that kills connections) is
-	// held until the breaker has opened — that is what the phase is
-	// for — but never more than 3x its dwell.
-	var stop atomic.Bool
-	dwell := o.duration / time.Duration(len(plan.Phases))
-	if dwell < 100*time.Millisecond {
-		dwell = 100 * time.Millisecond
-	}
-	var driverWG sync.WaitGroup
-	driverWG.Add(1)
-	go func() {
-		defer driverWG.Done()
-		defer stop.Store(true)
-		prev := px.Stats()
-		for i, ph := range plan.Phases {
-			px.SetPhase(i)
-			fmt.Fprintf(out, "netchaos: phase %d/%d %q for %v\n", i+1, len(plan.Phases), ph.Name, dwell)
-			time.Sleep(dwell)
-			// Hold a fault phase (up to 3x its dwell) until its fault
-			// class has demonstrably fired: a kill phase must open the
-			// breaker, a truncation phase must tear at least one
-			// response. Without the hold, a server-side storm window
-			// that overlaps the phase can starve it of traffic and the
-			// gate would assert on faults that never happened.
-			needKill := ph.ResetProb+ph.TornProb > 0
-			needTrunc := ph.TruncProb > 0
-			needHole := ph.BlackholeProb > 0
-			for hold := time.Now().Add(2 * dwell); (needKill || needTrunc || needHole) && time.Now().Before(hold); {
-				st := px.Stats()
-				if (!needKill || cl.ResilienceStats().BreakerOpens > 0) &&
-					(!needTrunc || st.Truncations > prev.Truncations) &&
-					(!needHole || st.Blackholed > prev.Blackholed) {
-					break
-				}
-				time.Sleep(20 * time.Millisecond)
-			}
-			st := px.Stats()
-			fmt.Fprintf(out, "netchaos: phase %q injected resets=%d torn=%d truncated=%d blackholed=%d delayed=%d\n",
-				ph.Name, st.Resets-prev.Resets, st.TornWrites-prev.TornWrites,
-				st.Truncations-prev.Truncations, st.Blackholed-prev.Blackholed, st.Delayed-prev.Delayed)
-			prev = st
-		}
-	}()
-
-	// The fleet. Same disjoint-stripe shadow discipline as the plain
-	// swarm, with one change of contract: a failed write no longer ends
-	// the run — under chaos an attempt can commit server-side and lose
-	// its response, so the line's version becomes unknown and its
-	// shadow entry is invalidated until the next confirmed write.
-	start := time.Now()
-	var wg sync.WaitGroup
-	var ops, sheds, dues, sdcs, faults, untyped atomic.Int64
-	var firstUntyped atomic.Pointer[error]
-	hists := make([]telemetry.LocalHistogram, o.goroutines)
-	master := rng.New(o.seed)
-	for g := 0; g < o.goroutines; g++ {
-		src := master.Split()
-		wg.Add(1)
-		go func(g int, src *rng.Source) {
-			defer wg.Done()
-			h := &hists[g]
-			shadow := make(map[uint64]uint32)
-			mine := make([]uint64, 0, o.lines/o.goroutines+1)
-			for l := uint64(g); l < uint64(o.lines); l += uint64(o.goroutines) {
-				mine = append(mine, l)
-			}
-			if len(mine) == 0 {
-				return
-			}
-			buf := make([]byte, 64)
-			expect := make([]byte, 64)
-			batchAddrs := make([]uint64, 0, o.batch)
-			batchData := make([]byte, 0, o.batch*64)
-			verify := func(line uint64, got []byte) {
-				v := shadow[line]
-				if v == 0 {
-					return
-				}
-				stripePattern(line, v, expect)
-				for j := range expect {
-					if got[j] != expect[j] {
-						sdcs.Add(1)
-						return
-					}
-				}
-			}
-			// fail records an operation-level error without ending the
-			// run; wasWrite invalidates the touched lines' shadows.
-			fail := func(err error, lines ...uint64) {
-				for _, l := range lines {
-					delete(shadow, l)
-				}
-				if ra, shed := client.IsShed(err); shed {
-					sheds.Add(1)
-					if ra > 200*time.Millisecond {
-						ra = 200 * time.Millisecond
-					}
-					time.Sleep(ra)
-					return
-				}
-				if client.Typed(err) {
-					faults.Add(1)
-					var bo *client.BreakerOpenError
-					if errors.As(err, &bo) {
-						// The breaker is doing its job; stop hammering
-						// it and let the cooldown elapse.
-						time.Sleep(20 * time.Millisecond)
-					}
-					return
-				}
-				untyped.Add(1)
-				e := err
-				firstUntyped.CompareAndSwap(nil, &e)
-			}
-			for !stop.Load() {
-				line := mine[src.Uint64n(uint64(len(mine)))]
-				addr := line * 64
-				isBatch := src.Float64() < o.batchfrac
-				isRead := src.Float64() < o.readfrac
-				opStart := time.Now()
-				switch {
-				case isBatch:
-					batchAddrs = batchAddrs[:0]
-					batchData = batchData[:0]
-					base := src.Uint64n(uint64(len(mine)))
-					blines := make([]uint64, 0, o.batch)
-					for k := 0; k < o.batch; k++ {
-						l := mine[(base+uint64(k))%uint64(len(mine))]
-						batchAddrs = append(batchAddrs, l*64)
-						blines = append(blines, l)
-					}
-					if isRead {
-						data, err := cl.ReadBatch(ctx, o.tenant, batchAddrs)
-						var ie *client.ItemError
-						switch {
-						case err == nil || errors.As(err, &ie):
-							for k, a := range batchAddrs {
-								if ie != nil && ie.Errs[k] != "" {
-									dues.Add(1)
-									delete(shadow, a/64)
-									continue
-								}
-								verify(a/64, data[k*64:(k+1)*64])
-							}
-							ops.Add(1)
-						default:
-							fail(err) // reads leave shadows alone
-						}
-					} else {
-						for _, a := range batchAddrs {
-							l := a / 64
-							stripePattern(l, shadow[l]+1, buf)
-							batchData = append(batchData, buf...)
-						}
-						err := cl.WriteBatch(ctx, o.tenant, batchAddrs, batchData)
-						var ie *client.ItemError
-						switch {
-						case err == nil:
-							for _, a := range batchAddrs {
-								shadow[a/64]++
-							}
-							ops.Add(1)
-						case errors.As(err, &ie):
-							for k, a := range batchAddrs {
-								if ie.Errs[k] != "" {
-									dues.Add(1)
-									delete(shadow, a/64)
-								} else {
-									shadow[a/64]++
-								}
-							}
-							ops.Add(1)
-						default:
-							fail(err, blines...)
-						}
-					}
-				case isRead:
-					data, err := cl.Read(ctx, o.tenant, addr)
-					switch {
-					case err == nil:
-						verify(line, data)
-						ops.Add(1)
-					case isItemError(err):
-						dues.Add(1)
-						delete(shadow, line)
-						ops.Add(1)
-					default:
-						fail(err)
-					}
-				default:
-					v := shadow[line] + 1
-					stripePattern(line, v, buf)
-					err := cl.Write(ctx, o.tenant, addr, buf)
-					switch {
-					case err == nil:
-						shadow[line] = v
-						ops.Add(1)
-					case isItemError(err):
-						dues.Add(1)
-						delete(shadow, line)
-						ops.Add(1)
-					default:
-						fail(err, line)
-					}
-				}
-				h.ObserveNs(time.Since(opStart).Nanoseconds())
-			}
-		}(g, src)
-	}
-	driverWG.Wait()
-	wg.Wait()
-	res.elapsed = time.Since(start)
-	res.ops = ops.Load()
-	res.sheds = sheds.Load()
-	res.dues = dues.Load()
-	res.sdcs = sdcs.Load()
-	res.faults = faults.Load()
-	res.untyped = untyped.Load()
-	for i := range hists {
-		res.hist.Add(hists[i].Snapshot())
-	}
-
-	// Recovery drain: the proxy sits in the plan's final phase; keep a
-	// light read pulse flowing so half-open probes can close an open
-	// breaker, up to the settle budget.
-	rstats := cl.ResilienceStats()
-	settleUntil := time.Now().Add(o.settle)
-	for rstats.BreakerOpens > 0 && rstats.BreakerCloses == 0 && time.Now().Before(settleUntil) {
-		_, _ = cl.Read(ctx, o.tenant, 0)
 		time.Sleep(20 * time.Millisecond)
-		rstats = cl.ResilienceStats()
 	}
-	endStorm := "normal"
-	for {
-		if s := pollStorm(); s != "" {
-			endStorm = s
-		}
-		if endStorm == "normal" || time.Now().After(settleUntil) {
-			break
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	pollCancel()
-	pollWG.Wait()
-	tapCancel()
-	tapWG.Wait()
-	maxStorm := "normal"
-	for name, rank := range stormRank {
-		if rank == int(maxSeen.Load()) {
-			maxStorm = name
-		}
-	}
+}
 
-	shedTotal, dropTotal, err := scrapeServerMetrics("http://" + o.server + "/metrics")
-	if err != nil {
-		return fmt.Errorf("metrics scrape: %w", err)
-	}
-	pst := px.Stats()
-
-	fmt.Fprintf(out, "netchaos: server=%s plan=%s seed=%d goroutines=%d elapsed=%v\n",
-		o.server, plan.Name, o.seed, o.goroutines, res.elapsed.Round(time.Millisecond))
-	fmt.Fprintf(out, "ops=%d (%.0f ops/s) sheds(client)=%d sheds(server)=%d dues=%d sdcs=%d typed-faults=%d untyped=%d\n",
-		res.ops, float64(res.ops)/res.elapsed.Seconds(), res.sheds, shedTotal, res.dues, res.sdcs, res.faults, res.untyped)
+// report prints the plan, proxy and resilience counters.
+func (c *chaosPlane) report(out io.Writer) {
+	pst := c.px.Stats()
+	rst := c.cl.ResilienceStats()
+	fmt.Fprintf(out, "netchaos: plan=%s seed=%d\n", c.plan.Name, c.seed)
 	fmt.Fprintf(out, "proxy: conns=%d resets=%d torn=%d truncated=%d blackholed=%d delayed=%d up=%dB down=%dB\n",
 		pst.Conns, pst.Resets, pst.TornWrites, pst.Truncations, pst.Blackholed, pst.Delayed, pst.BytesUp, pst.BytesDown)
 	fmt.Fprintf(out, "resilience: attempts=%d retries(transport=%d shed=%d) hedges=%d wins=%d breaker(opens=%d half=%d closes=%d rejects=%d)\n",
-		rstats.Attempts, rstats.RetriesTransport, rstats.RetriesShed, rstats.Hedges, rstats.HedgeWins,
-		rstats.BreakerOpens, rstats.BreakerHalfOpens, rstats.BreakerCloses, rstats.BreakerRejects)
-	fmt.Fprintf(out, "latency: p50=%v p90=%v p99=%v storm: peak=%s end=%s tap-events=%d tap-dropped=%d\n",
-		res.hist.Quantile(0.50), res.hist.Quantile(0.90), res.hist.Quantile(0.99),
-		maxStorm, endStorm, atomic.LoadInt64(&res.events), dropTotal)
-	if !o.quiet {
-		printHist(out, res.hist)
-	}
+		rst.Attempts, rst.RetriesTransport, rst.RetriesShed, rst.Hedges, rst.HedgeWins,
+		rst.BreakerOpens, rst.BreakerHalfOpens, rst.BreakerCloses, rst.BreakerRejects)
+}
 
+// gates applies the netchaos-only gates: progress, faults fired, a
+// full breaker cycle, and the hedge budget.
+func (c *chaosPlane) gates(ops int64) []string {
 	var fails []string
-	if res.sdcs > 0 {
-		fails = append(fails, fmt.Sprintf("%d silent corruptions", res.sdcs))
-	}
-	if res.untyped > 0 {
-		msg := fmt.Sprintf("%d untyped errors escaped the client", res.untyped)
-		if ep := firstUntyped.Load(); ep != nil {
-			msg += fmt.Sprintf(" (first: %v)", *ep)
-		}
-		fails = append(fails, msg)
-	}
-	if res.ops == 0 {
+	if ops == 0 {
 		fails = append(fails, "no operations completed (fleet starved by the fault plan)")
 	}
 	var planFaults, planKills bool
-	for _, ph := range plan.Phases {
+	for _, ph := range c.plan.Phases {
 		if ph.ResetProb+ph.TornProb+ph.TruncProb+ph.BlackholeProb > 0 {
 			planFaults = true
 		}
@@ -482,50 +153,29 @@ func runNetchaosGate(o options, out io.Writer) error {
 			planKills = true
 		}
 	}
+	pst := c.px.Stats()
 	if planFaults && pst.Resets+pst.TornWrites+pst.Truncations+pst.Blackholed == 0 {
 		fails = append(fails, "fault plan never fired (proxy injected nothing)")
 	}
+	rst := c.cl.ResilienceStats()
 	if planKills {
-		if rstats.BreakerOpens == 0 {
+		if rst.BreakerOpens == 0 {
 			fails = append(fails, "breaker never opened under connection-killing faults")
-		} else if rstats.BreakerHalfOpens == 0 || rstats.BreakerCloses == 0 {
+		} else if rst.BreakerHalfOpens == 0 || rst.BreakerCloses == 0 {
 			fails = append(fails, fmt.Sprintf("breaker cycle incomplete: opens=%d half-opens=%d closes=%d",
-				rstats.BreakerOpens, rstats.BreakerHalfOpens, rstats.BreakerCloses))
+				rst.BreakerOpens, rst.BreakerHalfOpens, rst.BreakerCloses))
 		}
 	}
 	// Hedge budget: the policy promises launched hedges stay within
 	// BudgetFraction of attempts; +2 absorbs the integer-race slack of
 	// concurrent budget checks.
-	frac := rpol.Hedge.BudgetFraction
+	frac := c.rpol.Hedge.BudgetFraction
 	if frac <= 0 {
 		frac = 0.05
 	}
-	if limit := int64(math.Ceil(frac*float64(rstats.Attempts))) + 2; rstats.Hedges > limit {
+	if limit := int64(math.Ceil(frac*float64(rst.Attempts))) + 2; rst.Hedges > limit {
 		fails = append(fails, fmt.Sprintf("hedges %d exceed budget %d (%.0f%% of %d attempts)",
-			rstats.Hedges, limit, frac*100, rstats.Attempts))
+			rst.Hedges, limit, frac*100, rst.Attempts))
 	}
-	if o.p99gate > 0 {
-		if p99 := res.hist.Quantile(0.99); p99 > o.p99gate {
-			fails = append(fails, fmt.Sprintf("p99 %v exceeds gate %v", p99, o.p99gate))
-		}
-	}
-	if o.requireshed && shedTotal == 0 {
-		fails = append(fails, "no requests shed (admission control never engaged)")
-	}
-	if o.requirestorm {
-		if maxStorm == "normal" {
-			fails = append(fails, "storm ladder never escalated")
-		}
-		if endStorm != "normal" {
-			fails = append(fails, fmt.Sprintf("storm ladder stuck at %s after %v settle", endStorm, o.settle))
-		}
-		if atomic.LoadInt64(&res.events) == 0 {
-			fails = append(fails, "no RAS events delivered on the tap")
-		}
-	}
-	if len(fails) > 0 {
-		return fmt.Errorf("netchaos gates failed: %s", strings.Join(fails, "; "))
-	}
-	fmt.Fprintln(out, "netchaos: PASS")
-	return nil
+	return fails
 }

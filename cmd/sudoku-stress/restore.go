@@ -19,7 +19,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sync"
 	"time"
 
 	"sudoku"
@@ -93,31 +92,16 @@ func runRestoreCycle(o options, out io.Writer) error {
 	go func() {
 		defer close(churnDone)
 		src := rng.New(o.seed ^ 0xc4a05)
-		stride := uint64(o.goroutines + 1)
-		stuckPool := lines / stride
-		groups := a.ParityGroups()
 		buf := make([]byte, 64)
 		stuckNext := uint64(0)
-		tick := 0
-		for time.Now().Before(deadline) {
+		for tick := 1; time.Now().Before(deadline); tick++ {
 			time.Sleep(o.scrub)
-			tick++
-			if tick%2 == 0 && stuckPool > 0 && stuckNext < 6 {
-				line := (stuckNext%stuckPool)*stride + uint64(o.goroutines)
-				addr := line * 64
-				fillLine(buf, addr, 1)
-				if a.Write(addr, buf) == nil && a.InjectStuckAt(addr, 7, true) == nil {
-					cnt.stuckPlanted.Add(1)
-				}
+			if tick%2 == 0 && stuckNext < 6 {
+				plantStuck(a, o, lines, stuckNext, buf, &cnt)
 				stuckNext++
 			}
-			if tick%3 == 0 && groups > 0 {
-				shard := int(src.Uint64n(uint64(a.Shards())))
-				group := int(src.Uint64n(uint64(groups)))
-				bit := int(src.Uint64n(553))
-				if a.InjectParityFault(shard, group, bit) == nil {
-					cnt.parityFaults.Add(1)
-				}
+			if tick%3 == 0 {
+				corruptParity(a, src, &cnt)
 			}
 		}
 	}()
@@ -243,93 +227,24 @@ func runRestoreCycle(o options, out io.Writer) error {
 	}
 	var cnt2 chaosCounters
 	runShadowLoad(b, o, lines, time.Now().Add(phase), &cnt2, o.seed^0xb2)
-
-	// Settle: return quarantined regions to service and drain the repair
-	// backlog before judging.
-	_ = b.StopScrub()
-	_ = b.StopStormControl()
-	if _, err := b.RebuildQuarantined(); err != nil {
+	h2, err := settleEngine(b)
+	if err != nil {
 		return err
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := b.Scrub(); err != nil {
-			return err
-		}
-	}
-
-	h2 := b.Health()
 	fmt.Fprintf(out, "restore-cycle: campaign=%q shards=%d phase1-ops=%d phase2-ops=%d checkpoints=%d\n",
 		camName, b.Shards(), cnt.ops.Load(), cnt2.ops.Load(), a.CheckpointStats().Writes)
 	fmt.Fprintf(out, "restore-cycle: cut gen=%d retired=%d quarantined=%d torn current at byte %d/%d -> prev fallback\n",
 		base.Generation, baseRetired, baseQuar, cutOff, fi.Size())
 	fmt.Fprintf(out, "restore-cycle: storm resumed=%v phase2 retired=%d dues-seen=%d\n",
 		sudoku.StormState(base.Storm.State), h2.RetiredLines, cnt2.dues.Load())
-	if h2.Counts.SDC > 0 {
-		return fmt.Errorf("restore-cycle: %d silent data corruptions after restore", h2.Counts.SDC)
-	}
-	if h2.Counts.RecoveryFailed > 0 {
-		return fmt.Errorf("restore-cycle: %d clean-line DUE recoveries failed after restore", h2.Counts.RecoveryFailed)
+	if err := rasGate("restore-cycle: after restore", h2); err != nil {
+		return err
 	}
 	if h2.RetiredLines < baseRetired {
 		return fmt.Errorf("restore-cycle: retirement regressed: %d < baseline %d", h2.RetiredLines, baseRetired)
 	}
 	fmt.Fprintln(out, "restore-cycle: PASS (prev-generation fallback, state preserved, zero SDC)")
 	return nil
-}
-
-// runShadowLoad runs the chaos-style shadow-verified load fleet against
-// eng until deadline. Goroutine g owns lines ≡ g (mod goroutines+1);
-// residue `goroutines` is left to the churn loop's stuck-at planting.
-func runShadowLoad(eng *sudoku.Concurrent, o options, lines uint64, deadline time.Time, cnt *chaosCounters, seed uint64) {
-	stride := uint64(o.goroutines + 1)
-	master := rng.New(seed)
-	var wg sync.WaitGroup
-	for g := 0; g < o.goroutines; g++ {
-		src := master.Split()
-		wg.Add(1)
-		go func(g uint64, src *rng.Source) {
-			defer wg.Done()
-			owned := lines / stride
-			if owned == 0 {
-				return
-			}
-			shadow := make(map[uint64]uint64)
-			buf := make([]byte, 64)
-			rbuf := make([]byte, 64)
-			n := int64(0)
-			for {
-				if n%128 == 0 && time.Now().After(deadline) {
-					break
-				}
-				n++
-				line := src.Uint64n(owned)*stride + g
-				addr := line * 64
-				if src.Float64() < o.readfrac {
-					if err := eng.ReadInto(addr, rbuf); err != nil {
-						cnt.dues.Add(1)
-						continue
-					}
-					if last, tracked := shadow[line]; tracked {
-						if ok, detail := verifyLine(rbuf, addr, last); !ok {
-							cnt.sdc.Add(1)
-							eng.RecordSDC(addr, detail)
-						} else if last > 0 && isZero(rbuf) {
-							cnt.lost.Add(1)
-						}
-					}
-				} else {
-					gen := shadow[line] + 1
-					fillLine(buf, addr, gen)
-					shadow[line] = gen
-					if err := eng.Write(addr, buf); err != nil {
-						cnt.dues.Add(1)
-					}
-				}
-			}
-			cnt.ops.Add(n)
-		}(uint64(g), src)
-	}
-	wg.Wait()
 }
 
 // stateTotals sums retired lines and quarantined regions across a

@@ -6,22 +6,34 @@
 // as an SDC — and the run fails. A tap goroutine streams the tenant's
 // RAS events for the whole run; health polling tracks the storm ladder.
 //
-// Exit gates (all optional except SDC=0, which always applies):
+// One runner serves both swarm shapes. The plain swarm runs for
+// -duration over one connection: its data-plane client is also the
+// observer. With -netchaos the data plane dials the fault proxy with
+// the resilience policy armed, the phase loop decides when the fleet
+// stops, and the netchaos gates join the ones below (see netchaos.go).
 //
+// Exit gates (all optional except the first three, which always apply):
+//
+//	zero SDC          every read shadow-verifies against its stripe
+//	zero failures     no operation fails other than by a shed or a
+//	                  per-item DUE (under -netchaos: by a typed error);
+//	                  the first failure is named when the run ends
+//	zero tap drops    the server dropped no tap events
+//	                  (sudoku_server_tap_dropped_total) — the event pipe
+//	                  must keep up with the fault storm it narrates
 //	-p99gate D        fail when client-observed p99 exceeds D
 //	-requireshed      fail unless the server shed at least one request
 //	-requirestorm     fail unless the storm ladder left normal during
 //	                  the run AND returned to normal by the end, with
 //	                  at least one RAS event delivered on the tap
-//
-// The run always fails if the server reports dropped tap events
-// (sudoku_server_tap_dropped_total > 0) — the event pipe must keep up
-// with the fault storm it is narrating.
+//	-tracegate        fail unless /debug/flightrec, merged over the
+//	                  run, passes reqtrace's structural check and holds
+//	                  a trace that went past ECC-1
 package main
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -32,34 +44,25 @@ import (
 	"time"
 
 	"sudoku/client"
+	"sudoku/internal/netchaos"
 	"sudoku/internal/reqtrace"
 	"sudoku/internal/rng"
 	"sudoku/internal/server/wire"
 	"sudoku/internal/telemetry"
 )
 
-// swarmResult aggregates one swarm run.
-type swarmResult struct {
-	ops      int64
-	sheds    int64
-	dues     int64
-	sdcs     int64
-	events   int64
-	elapsed  time.Duration
-	hist     telemetry.HistogramSnapshot
-	maxStorm string
-	endStorm string
+// fleetResult aggregates one fleet run.
+type fleetResult struct {
+	ops, sheds, dues, sdcs int64
+	faults                 int64 // typed errors tolerated under -netchaos
+	failed                 int64 // operations that failed the mode's contract
+	firstErr               error // the first of those
+	elapsed                time.Duration
+	hist                   telemetry.HistogramSnapshot
 }
 
-// stripePattern is the deterministic line content for (line, version):
-// reproducible at verify time without storing 64 bytes per line.
-func stripePattern(line uint64, version uint32, dst []byte) {
-	for j := range dst {
-		dst[j] = byte(line) ^ byte(line>>8) ^ byte(version) ^ byte(j*7)
-	}
-}
-
-// runServerSwarm drives the remote daemon.
+// runServerSwarm drives the remote daemon, directly or through the
+// -netchaos proxy.
 func runServerSwarm(o options, out io.Writer) error {
 	codec := wire.CodecBinary
 	if o.codec == "json" {
@@ -70,26 +73,53 @@ func runServerSwarm(o options, out io.Writer) error {
 	if o.lines <= 0 {
 		return fmt.Errorf("lines %d", o.lines)
 	}
+	if o.batchfrac < 0 || o.batchfrac > 1 {
+		return fmt.Errorf("batchfrac %g outside [0, 1]", o.batchfrac)
+	}
 	if o.batch <= 0 {
 		o.batch = 16
 	}
-	cl := client.New(client.Options{Addr: o.server, Codec: codec})
-	ctx := context.Background()
-	if _, err := cl.Health(ctx, o.tenant); err != nil {
-		return fmt.Errorf("server %s tenant %s unreachable: %w", o.server, o.tenant, err)
+	var plan netchaos.Plan
+	if o.netchaos != "" {
+		if o.tracegate {
+			return errors.New("-tracegate is not supported with -netchaos (resets evict the recorder's ring mid-run)")
+		}
+		var err error
+		if plan, err = netchaos.Load(o.netchaos); err != nil {
+			return err
+		}
 	}
 
-	res := &swarmResult{maxStorm: "normal", endStorm: "normal"}
-	tapCtx, tapCancel := context.WithCancel(ctx)
-	defer tapCancel()
-	var tapWG sync.WaitGroup
+	// Observer plane: health poll, RAS tap and metrics scrape go
+	// straight to the server, so the instruments keep reading while the
+	// data plane is under network chaos.
+	obs := client.New(client.Options{Addr: o.server, Codec: codec})
+	defer obs.Close()
+	ctx := context.Background()
+	if _, err := obs.Health(ctx, o.tenant); err != nil {
+		return fmt.Errorf("server %s tenant %s unreachable: %w", o.server, o.tenant, err)
+	}
+	label, cl := "swarm", obs
+	var nc *chaosPlane
+	if o.netchaos != "" {
+		var err error
+		if nc, err = newChaosPlane(o, plan, codec); err != nil {
+			return err
+		}
+		defer nc.close()
+		label, cl = "netchaos", nc.cl
+	}
 
 	// The tap runs for the whole load window; every event it drains is
 	// one the server did not have to drop.
-	stream, err := cl.Events(tapCtx, o.tenant)
+	tapCtx, tapCancel := context.WithCancel(ctx)
+	defer tapCancel()
+	stream, err := obs.Events(tapCtx, o.tenant)
 	if err != nil {
 		return fmt.Errorf("event tap: %w", err)
 	}
+	var tapWG sync.WaitGroup
+	var events atomic.Int64
 	tapWG.Add(1)
 	go func() {
 		defer tapWG.Done()
@@ -98,7 +128,7 @@ func runServerSwarm(o options, out io.Writer) error {
 			if _, err := stream.Next(); err != nil {
 				return
 			}
-			atomic.AddInt64(&res.events, 1)
+			events.Add(1)
 		}
 	}()
 
@@ -106,7 +136,7 @@ func runServerSwarm(o options, out io.Writer) error {
 	// recover.
 	stormRank := map[string]int{"normal": 0, "elevated": 1, "critical": 2}
 	pollStorm := func() string {
-		h, err := cl.Health(ctx, o.tenant)
+		h, err := obs.Health(ctx, o.tenant)
 		if err != nil {
 			return ""
 		}
@@ -116,28 +146,18 @@ func runServerSwarm(o options, out io.Writer) error {
 	defer pollCancel()
 	var pollWG sync.WaitGroup
 	var maxSeen atomic.Int32
-	pollWG.Add(1)
-	go func() {
-		defer pollWG.Done()
-		tick := time.NewTicker(50 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-pollCtx.Done():
-				return
-			case <-tick.C:
-				if s := pollStorm(); stormRank[s] > int(maxSeen.Load()) {
-					maxSeen.Store(int32(stormRank[s]))
-				}
-			}
+	every(pollCtx, &pollWG, 50*time.Millisecond, func() {
+		if s := pollStorm(); stormRank[s] > int(maxSeen.Load()) {
+			maxSeen.Store(int32(stormRank[s]))
 		}
-	}()
+	})
 
 	// Flight-recorder poller (-tracegate only). The ring keeps just the
 	// last N published traces, and a shed flood during a storm window
 	// can evict an earlier deep-repair trace before the run ends — so
 	// the gate folds periodic snapshots into one merged view instead of
 	// trusting a single final scrape.
+	flightrec := "http://" + o.server + "/debug/flightrec"
 	var recMu sync.Mutex
 	recMerged := make(map[string]reqtrace.TraceJSON)
 	mergeRec := func(rec *reqtrace.FlightRecord) {
@@ -148,192 +168,38 @@ func runServerSwarm(o options, out io.Writer) error {
 		recMu.Unlock()
 	}
 	if o.tracegate {
-		pollWG.Add(1)
-		go func() {
-			defer pollWG.Done()
-			tick := time.NewTicker(250 * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-pollCtx.Done():
-					return
-				case <-tick.C:
-					if rec, err := scrapeFlightRecord("http://" + o.server + "/debug/flightrec"); err == nil {
-						mergeRec(rec)
-					}
-				}
+		every(pollCtx, &pollWG, 250*time.Millisecond, func() {
+			if rec, err := reqtrace.FetchRecord(flightrec); err == nil {
+				mergeRec(rec)
 			}
-		}()
+		})
 	}
 
-	// The fleet. Goroutine g owns lines {l : l mod G == g} of the
-	// first o.lines lines — disjoint stripes, so shadow state needs no
-	// cross-goroutine synchronization and a batch sync never races a
-	// sibling's writes.
-	start := time.Now()
-	deadline := start.Add(o.duration)
-	var wg sync.WaitGroup
-	var ops, sheds, dues, sdcs atomic.Int64
-	hists := make([]telemetry.LocalHistogram, o.goroutines)
-	master := rng.New(o.seed)
-	var firstErr atomic.Pointer[error]
-	for g := 0; g < o.goroutines; g++ {
-		src := master.Split()
-		wg.Add(1)
-		go func(g int, src *rng.Source) {
-			defer wg.Done()
-			h := &hists[g]
-			shadow := make(map[uint64]uint32) // line -> version (0 = unknown)
-			mine := make([]uint64, 0, o.lines/o.goroutines+1)
-			for l := uint64(g); l < uint64(o.lines); l += uint64(o.goroutines) {
-				mine = append(mine, l)
-			}
-			if len(mine) == 0 {
-				return
-			}
-			buf := make([]byte, 64)
-			expect := make([]byte, 64)
-			batchAddrs := make([]uint64, 0, o.batch)
-			batchData := make([]byte, 0, o.batch*64)
-			verify := func(line uint64, got []byte) {
-				v := shadow[line]
-				if v == 0 {
-					return // never written by us (or reset after a DUE)
-				}
-				stripePattern(line, v, expect)
-				for j := range expect {
-					if got[j] != expect[j] {
-						sdcs.Add(1)
-						return
-					}
-				}
-			}
-			for n := int64(0); ; n++ {
-				if n%64 == 0 && time.Now().After(deadline) {
-					break
-				}
-				line := mine[src.Uint64n(uint64(len(mine)))]
-				addr := line * 64
-				isBatch := src.Float64() < o.batchfrac
-				isRead := src.Float64() < o.readfrac
-				opStart := time.Now()
-				var err error
-				switch {
-				case isBatch:
-					// A contiguous run of this goroutine's stripe.
-					batchAddrs = batchAddrs[:0]
-					batchData = batchData[:0]
-					base := src.Uint64n(uint64(len(mine)))
-					for k := 0; k < o.batch; k++ {
-						l := mine[(base+uint64(k))%uint64(len(mine))]
-						batchAddrs = append(batchAddrs, l*64)
-					}
-					if isRead {
-						var data []byte
-						data, err = cl.ReadBatch(ctx, o.tenant, batchAddrs)
-						var ie *client.ItemError
-						if err == nil || errors.As(err, &ie) {
-							for k, a := range batchAddrs {
-								if ie != nil && ie.Errs[k] != "" {
-									dues.Add(1)
-									delete(shadow, a/64)
-									continue
-								}
-								verify(a/64, data[k*64:(k+1)*64])
-							}
-							err = nil
-						}
-					} else {
-						for _, a := range batchAddrs {
-							l := a / 64
-							stripePattern(l, shadow[l]+1, buf)
-							batchData = append(batchData, buf...)
-						}
-						err = cl.WriteBatch(ctx, o.tenant, batchAddrs, batchData)
-						// Commit shadow versions only once the server
-						// confirms: a shed batch never executed, so the
-						// old shadow stays valid.
-						var ie *client.ItemError
-						switch {
-						case err == nil:
-							for _, a := range batchAddrs {
-								shadow[a/64]++
-							}
-						case errors.As(err, &ie):
-							for k, a := range batchAddrs {
-								if ie.Errs[k] != "" {
-									dues.Add(1)
-									delete(shadow, a/64)
-								} else {
-									shadow[a/64]++
-								}
-							}
-							err = nil
-						}
-					}
-				case isRead:
-					var data []byte
-					data, err = cl.Read(ctx, o.tenant, addr)
-					if err == nil {
-						verify(line, data)
-					} else if isItemError(err) {
-						dues.Add(1)
-						delete(shadow, line)
-						err = nil
-					}
-				default:
-					v := shadow[line] + 1
-					stripePattern(line, v, buf)
-					err = cl.Write(ctx, o.tenant, addr, buf)
-					if err == nil {
-						shadow[line] = v
-					} else if isItemError(err) {
-						dues.Add(1)
-						delete(shadow, line)
-						err = nil
-					}
-				}
-				h.ObserveNs(time.Since(opStart).Nanoseconds())
-				if err != nil {
-					if ra, shed := client.IsShed(err); shed {
-						sheds.Add(1)
-						// Honor the server's hint, but never sleep the
-						// deadline away.
-						if ra > 200*time.Millisecond {
-							ra = 200 * time.Millisecond
-						}
-						time.Sleep(ra)
-						continue
-					}
-					e := err
-					firstErr.CompareAndSwap(nil, &e)
-					return
-				}
-				ops.Add(1)
-			}
-		}(g, src)
+	// The stop signal: the -duration timer, or under -netchaos the
+	// phase loop once the plan's timeline completes.
+	var stop atomic.Bool
+	var phaseWG sync.WaitGroup
+	if nc != nil {
+		phaseWG.Add(1)
+		go func() {
+			defer phaseWG.Done()
+			defer stop.Store(true)
+			nc.drive(o.duration, o.settle, out)
+		}()
+	} else {
+		defer time.AfterFunc(o.duration, func() { stop.Store(true) }).Stop()
 	}
-	wg.Wait()
-	res.elapsed = time.Since(start)
-	res.ops = ops.Load()
-	res.sheds = sheds.Load()
-	res.dues = dues.Load()
-	res.sdcs = sdcs.Load()
-	for i := range hists {
-		res.hist.Add(hists[i].Snapshot())
-	}
-	if ep := firstErr.Load(); ep != nil {
-		return fmt.Errorf("swarm worker failed: %w", *ep)
-	}
+	res := runFleet(ctx, o, cl, &stop, nc != nil)
+	phaseWG.Wait()
 
 	// Let the ladder settle, then take the final storm reading.
 	settleUntil := time.Now().Add(o.settle)
+	endStorm := "normal"
 	for {
-		s := pollStorm()
-		if s != "" {
-			res.endStorm = s
+		if s := pollStorm(); s != "" {
+			endStorm = s
 		}
-		if res.endStorm == "normal" || time.Now().After(settleUntil) {
+		if endStorm == "normal" || time.Now().After(settleUntil) {
 			break
 		}
 		time.Sleep(100 * time.Millisecond)
@@ -342,26 +208,36 @@ func runServerSwarm(o options, out io.Writer) error {
 	pollWG.Wait()
 	tapCancel()
 	tapWG.Wait()
+	maxStorm := "normal"
 	for name, rank := range stormRank {
 		if rank == int(maxSeen.Load()) {
-			res.maxStorm = name
+			maxStorm = name
 		}
 	}
 
-	// Final metrics scrape: shed totals and the tap-drop gate.
+	// Final metrics scrape: shed totals and the tap-drop gate. A server
+	// that went away mid-run fails it, so name the fleet's first
+	// failure too.
 	shedTotal, dropTotal, err := scrapeServerMetrics("http://" + o.server + "/metrics")
 	if err != nil {
-		return fmt.Errorf("metrics scrape: %w", err)
+		return errors.Join(fmt.Errorf("metrics scrape: %w", err), res.firstErr)
 	}
 
-	fmt.Fprintf(out, "swarm: server=%s tenant=%s codec=%s goroutines=%d\n",
-		o.server, o.tenant, o.codec, o.goroutines)
-	fmt.Fprintf(out, "ops=%d (%.0f ops/s) sheds(client)=%d sheds(server)=%d dues=%d sdcs=%d\n",
-		res.ops, float64(res.ops)/res.elapsed.Seconds(), res.sheds, shedTotal, res.dues, res.sdcs)
+	fmt.Fprintf(out, "%s: server=%s tenant=%s codec=%s goroutines=%d elapsed=%v\n",
+		label, o.server, o.tenant, o.codec, o.goroutines, res.elapsed.Round(time.Millisecond))
+	failures := fmt.Sprintf("errors=%d", res.failed)
+	if nc != nil {
+		failures = fmt.Sprintf("typed-faults=%d untyped=%d", res.faults, res.failed)
+	}
+	fmt.Fprintf(out, "ops=%d (%.0f ops/s) sheds(client)=%d sheds(server)=%d dues=%d sdcs=%d %s\n",
+		res.ops, float64(res.ops)/res.elapsed.Seconds(), res.sheds, shedTotal, res.dues, res.sdcs, failures)
 	fmt.Fprintf(out, "latency: p50=%v p90=%v p99=%v\n",
 		res.hist.Quantile(0.50), res.hist.Quantile(0.90), res.hist.Quantile(0.99))
 	fmt.Fprintf(out, "storm: peak=%s end=%s tap-events=%d tap-dropped=%d\n",
-		res.maxStorm, res.endStorm, atomic.LoadInt64(&res.events), dropTotal)
+		maxStorm, endStorm, events.Load(), dropTotal)
+	if nc != nil {
+		nc.report(out)
+	}
 	if !o.quiet {
 		printHist(out, res.hist)
 	}
@@ -370,8 +246,18 @@ func runServerSwarm(o options, out io.Writer) error {
 	if res.sdcs > 0 {
 		fails = append(fails, fmt.Sprintf("%d silent corruptions", res.sdcs))
 	}
+	if res.failed > 0 {
+		what := "failed operations"
+		if nc != nil {
+			what = "untyped errors escaped the client"
+		}
+		fails = append(fails, fmt.Sprintf("%d %s (first: %v)", res.failed, what, res.firstErr))
+	}
 	if dropTotal > 0 {
 		fails = append(fails, fmt.Sprintf("%d dropped tap events", dropTotal))
+	}
+	if nc != nil {
+		fails = append(fails, nc.gates(res.ops)...)
 	}
 	if o.p99gate > 0 {
 		if p99 := res.hist.Quantile(0.99); p99 > o.p99gate {
@@ -382,18 +268,18 @@ func runServerSwarm(o options, out io.Writer) error {
 		fails = append(fails, "no requests shed (admission control never engaged)")
 	}
 	if o.requirestorm {
-		if res.maxStorm == "normal" {
+		if maxStorm == "normal" {
 			fails = append(fails, "storm ladder never escalated")
 		}
-		if res.endStorm != "normal" {
-			fails = append(fails, fmt.Sprintf("storm ladder stuck at %s after %v settle", res.endStorm, o.settle))
+		if endStorm != "normal" {
+			fails = append(fails, fmt.Sprintf("storm ladder stuck at %s after %v settle", endStorm, o.settle))
 		}
-		if atomic.LoadInt64(&res.events) == 0 {
+		if events.Load() == 0 {
 			fails = append(fails, "no RAS events delivered on the tap")
 		}
 	}
 	if o.tracegate {
-		rec, err := scrapeFlightRecord("http://" + o.server + "/debug/flightrec")
+		rec, err := reqtrace.FetchRecord(flightrec)
 		if err != nil {
 			return fmt.Errorf("flightrec scrape: %w", err)
 		}
@@ -408,10 +294,206 @@ func runServerSwarm(o options, out io.Writer) error {
 		fails = append(fails, gateFails...)
 	}
 	if len(fails) > 0 {
-		return fmt.Errorf("swarm gates failed: %s", strings.Join(fails, "; "))
+		return fmt.Errorf("%s gates failed: %s", label, strings.Join(fails, "; "))
 	}
-	fmt.Fprintln(out, "swarm: PASS")
+	fmt.Fprintf(out, "%s: PASS\n", label)
 	return nil
+}
+
+// runFleet runs the striped shadow-verifying workers against cl until
+// stop is set. Goroutine g owns lines {l : l mod G == g} of the first
+// o.lines lines — disjoint stripes, so shadow state needs no
+// cross-goroutine synchronization and a batch sync never races a
+// sibling's writes. With resilient (the -netchaos data plane) a typed
+// error is the expected end of a faulted operation; otherwise any
+// error other than a shed or a per-item DUE is a failure. Either way
+// the worker carries on and the run reports the first failure.
+func runFleet(ctx context.Context, o options, cl *client.Client, stop *atomic.Bool, resilient bool) *fleetResult {
+	start := time.Now()
+	var wg sync.WaitGroup
+	var ops, sheds, dues, sdcs, faults, failed atomic.Int64
+	var firstErr atomic.Pointer[error]
+	hists := make([]telemetry.LocalHistogram, o.goroutines)
+	master := rng.New(o.seed)
+	for g := 0; g < o.goroutines; g++ {
+		src := master.Split()
+		wg.Add(1)
+		go func(g int, src *rng.Source) {
+			defer wg.Done()
+			h := &hists[g]
+			shadow := make(map[uint64]uint32) // line -> version (0 = unknown)
+			mine := make([]uint64, 0, o.lines/o.goroutines+1)
+			for l := uint64(g); l < uint64(o.lines); l += uint64(o.goroutines) {
+				mine = append(mine, l)
+			}
+			if len(mine) == 0 {
+				return
+			}
+			n := uint64(len(mine))
+			buf := make([]byte, 64)
+			expect := make([]byte, 64)
+			single := make([]uint64, 1)
+			batchAddrs := make([]uint64, 0, o.batch)
+			batchVers := make([]uint32, 0, o.batch)
+			batchData := make([]byte, 0, o.batch*64)
+			verify := func(line uint64, got []byte) {
+				if v := shadow[line]; v != 0 { // 0: never written by us, or reset after a DUE
+					fillLine(expect, line*64, uint64(v))
+					if !bytes.Equal(got, expect) {
+						sdcs.Add(1)
+					}
+				}
+			}
+			// itemDUE accounts a per-item failure the server reported:
+			// the line's content is unknown until the next confirmed
+			// write.
+			itemDUE := func(line uint64) {
+				dues.Add(1)
+				delete(shadow, line)
+			}
+			// fail accounts an operation that returned no verdict.
+			// written holds the addresses a write touched: its outcome
+			// is unknown — under retries an earlier attempt can commit
+			// and lose its response — so their shadows are dropped. A
+			// plain-mode shed never executed and keeps them.
+			fail := func(err error, written []uint64) {
+				ra, shed := client.IsShed(err)
+				if resilient || !shed {
+					for _, a := range written {
+						delete(shadow, a/64)
+					}
+				}
+				switch {
+				case shed:
+					sheds.Add(1)
+					// Honor the server's hint, but never sleep the run
+					// away.
+					time.Sleep(min(ra, 200*time.Millisecond))
+				case resilient && client.Typed(err):
+					faults.Add(1)
+					var bo *client.BreakerOpenError
+					if errors.As(err, &bo) {
+						// The breaker is doing its job; stop hammering
+						// it and let the cooldown elapse.
+						time.Sleep(20 * time.Millisecond)
+					}
+				default:
+					failed.Add(1)
+					firstErr.CompareAndSwap(nil, &err)
+				}
+			}
+			for !stop.Load() {
+				line := mine[src.Uint64n(n)]
+				isBatch := src.Float64() < o.batchfrac
+				isRead := src.Float64() < o.readfrac
+				opStart := time.Now()
+				var err error
+				var written []uint64
+				switch {
+				case isBatch:
+					// A contiguous run of this goroutine's stripe.
+					batchAddrs = batchAddrs[:0]
+					base := src.Uint64n(n)
+					for k := uint64(0); k < uint64(o.batch); k++ {
+						batchAddrs = append(batchAddrs, mine[(base+k)%n]*64)
+					}
+					var ie *client.ItemError
+					if isRead {
+						var data []byte
+						data, err = cl.ReadBatch(ctx, o.tenant, batchAddrs)
+						if err == nil || errors.As(err, &ie) {
+							for k, a := range batchAddrs {
+								if ie != nil && ie.Errs[k] != "" {
+									itemDUE(a / 64)
+								} else {
+									verify(a/64, data[k*64:(k+1)*64])
+								}
+							}
+							err = nil
+						}
+						break
+					}
+					// Versions are fixed before the sync, so a stripe
+					// shorter than the batch writes one consistent
+					// version to a line it names twice.
+					batchVers, batchData = batchVers[:0], batchData[:0]
+					for _, a := range batchAddrs {
+						v := shadow[a/64] + 1
+						fillLine(buf, a, uint64(v))
+						batchVers = append(batchVers, v)
+						batchData = append(batchData, buf...)
+					}
+					err = cl.WriteBatch(ctx, o.tenant, batchAddrs, batchData)
+					// Commit shadow versions only once the server
+					// confirms.
+					if err == nil || errors.As(err, &ie) {
+						for k, a := range batchAddrs {
+							if ie != nil && ie.Errs[k] != "" {
+								itemDUE(a / 64)
+							} else {
+								shadow[a/64] = batchVers[k]
+							}
+						}
+						err = nil
+					}
+					written = batchAddrs
+				case isRead:
+					var data []byte
+					if data, err = cl.Read(ctx, o.tenant, line*64); err == nil {
+						verify(line, data)
+					}
+				default:
+					v := shadow[line] + 1
+					fillLine(buf, line*64, uint64(v))
+					if err = cl.Write(ctx, o.tenant, line*64, buf); err == nil {
+						shadow[line] = v
+					}
+					single[0] = line * 64
+					written = single
+				}
+				if isItemError(err) { // a single-line DUE
+					itemDUE(line)
+					err = nil
+				}
+				h.ObserveNs(time.Since(opStart).Nanoseconds())
+				if err != nil {
+					fail(err, written)
+					continue
+				}
+				ops.Add(1)
+			}
+		}(g, src)
+	}
+	wg.Wait()
+	res := &fleetResult{
+		ops: ops.Load(), sheds: sheds.Load(), dues: dues.Load(), sdcs: sdcs.Load(),
+		faults: faults.Load(), failed: failed.Load(), elapsed: time.Since(start),
+	}
+	if ep := firstErr.Load(); ep != nil {
+		res.firstErr = *ep
+	}
+	for i := range hists {
+		res.hist.Add(hists[i].Snapshot())
+	}
+	return res
+}
+
+// every runs fn each period on its own goroutine until ctx ends.
+func every(ctx context.Context, wg *sync.WaitGroup, period time.Duration, fn func()) {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(period)
+		defer tick.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-tick.C:
+				fn()
+			}
+		}
+	}()
 }
 
 func isItemError(err error) bool {
@@ -419,51 +501,21 @@ func isItemError(err error) bool {
 	return errors.As(err, &ie)
 }
 
-// scrapeFlightRecord pulls the server's /debug/flightrec snapshot.
-func scrapeFlightRecord(url string) (*reqtrace.FlightRecord, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	rec := new(reqtrace.FlightRecord)
-	if err := json.NewDecoder(resp.Body).Decode(rec); err != nil {
-		return nil, fmt.Errorf("flightrec JSON: %w", err)
-	}
-	return rec, nil
-}
-
 // traceGateFails applies the -tracegate checks to a flight-recorder
-// snapshot: the server must have sampled anomalous traces under the
-// swarm, every trace's spans must be timestamp-monotone with repair
-// rungs in ladder order, and at least one trace must have walked past
-// ECC-1 — the depth the fault storm is supposed to produce.
+// snapshot: the server must have begun traces under the swarm, the
+// record must pass reqtrace's structural check (non-empty, counters
+// consistent, trace ids valid, every trace timestamp-monotone with
+// repair rungs in ladder order), and at least one trace must have
+// walked past ECC-1 — the depth the fault storm is supposed to produce.
 func traceGateFails(rec *reqtrace.FlightRecord) (fails []string, deep int) {
 	if rec.Begun == 0 {
 		fails = append(fails, "no traces begun server-side (wire trace context lost)")
 	}
-	if len(rec.Traces) == 0 {
-		return append(fails, "flight recorder empty (tail sampler never published)"), 0
+	if err := rec.Check(); err != nil {
+		fails = append(fails, "flight recorder: "+err.Error())
 	}
 	for _, tj := range rec.Traces {
-		spans := tj.SpansDecoded()
-		if !reqtrace.RungOrderOK(spans) {
-			fails = append(fails, fmt.Sprintf("trace %s violates rung order: %+v", tj.ID, tj.Spans))
-			continue
-		}
-		isDeep := false
-		for _, s := range spans {
-			switch s.Kind {
-			case reqtrace.KindRAIDReconstruct, reqtrace.KindSDR,
-				reqtrace.KindHash2Retry, reqtrace.KindDUERefetch,
-				reqtrace.KindDUEDataLoss:
-				isDeep = true
-			}
-		}
-		if isDeep {
+		if tj.Deep() {
 			deep++
 		}
 	}

@@ -38,6 +38,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -185,6 +187,20 @@ func Preset(name string) (Plan, error) {
 		return Plan{}, fmt.Errorf("netchaos: unknown preset %q (have %v)", name, PresetNames())
 	}
 	return p, nil
+}
+
+// Load resolves a plan spec the way faultmodel.Load resolves a
+// campaign: a preset name (PresetNames) is used as-is; anything else
+// is read as a strict-JSON plan file.
+func Load(spec string) (Plan, error) {
+	if slices.Contains(PresetNames(), spec) {
+		return Preset(spec)
+	}
+	data, err := os.ReadFile(spec)
+	if err != nil {
+		return Plan{}, fmt.Errorf("netchaos: plan %q: %w", spec, err)
+	}
+	return Parse(data)
 }
 
 // PresetNames lists the built-in plans in a fixed order.

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -100,6 +102,36 @@ func TestPresetsValid(t *testing.T) {
 	}
 	if _, err := Preset("nope"); err == nil {
 		t.Fatal("unknown preset accepted")
+	}
+}
+
+// TestLoad: a preset name resolves as-is, anything else is a plan
+// file — even a bare name with no path separator.
+func TestLoad(t *testing.T) {
+	p, err := Load("gate")
+	if err != nil || p.Name != "gate" || len(p.Phases) != 5 {
+		t.Fatalf("Load(gate) = %+v, %v", p, err)
+	}
+	dir := t.TempDir()
+	file := filepath.Join(dir, "plan.json")
+	if err := os.WriteFile(file, []byte(`{"name":"custom","phases":[{"latency_ms":1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := Load(file); err != nil || p.Name != "custom" {
+		t.Fatalf("Load(file) = %+v, %v", p, err)
+	}
+	t.Chdir(dir)
+	if p, err := Load("plan.json"); err != nil || p.Name != "custom" {
+		t.Fatalf("Load(relative file) = %+v, %v", p, err)
+	}
+	if _, err := Load("nope"); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Fatalf("Load(nope) error %v", err)
+	}
+	if err := os.WriteFile(file, []byte(`{"name":"x","phases":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(file); err == nil {
+		t.Fatal("invalid plan file accepted")
 	}
 }
 

@@ -2,13 +2,16 @@ package reqtrace
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 )
 
 // FlightRecord is the /debug/flightrec JSON payload. The same structs
-// decode it on the consumer side (sudoku-stress -tracegate), so the
-// schema round-trips by construction.
+// decode it on the consumer side (FetchRecord, used by the
+// sudoku-cached selfcheck and sudoku-stress -tracegate), so the schema
+// round-trips by construction.
 type FlightRecord struct {
 	// Published / Dropped mirror the ring counters.
 	Published int64 `json:"published_total"`
@@ -99,4 +102,57 @@ func (t TraceJSON) SpansDecoded() []Span {
 		out = append(out, Span{Kind: KindFromString(s.Kind), Addr: s.Addr, Code: s.Code, AtNs: s.AtNs})
 	}
 	return out
+}
+
+// Deep reports whether the recorded trace went past ECC-1 on the
+// repair ladder, classifying spans with the same kind flags as
+// (*Trace).Deep.
+func (t TraceJSON) Deep() bool {
+	for _, s := range t.Spans {
+		if kindFlags[KindFromString(s.Kind)]&flagDeep != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// Check applies the structural gates every snapshot must pass: it is
+// non-empty, published_total covers the recorded traces (the counter
+// is cumulative, so a view merged across snapshots passes too), every
+// trace id parses, and every trace has monotone span timestamps with
+// repair rungs in ladder order (RungOrderOK).
+func (rec *FlightRecord) Check() error {
+	if len(rec.Traces) == 0 {
+		return errors.New("flight recorder is empty")
+	}
+	if rec.Published < int64(len(rec.Traces)) {
+		return fmt.Errorf("published_total %d below %d recorded traces",
+			rec.Published, len(rec.Traces))
+	}
+	for _, tj := range rec.Traces {
+		if _, err := ParseID(tj.ID); err != nil {
+			return fmt.Errorf("trace id %q: %w", tj.ID, err)
+		}
+		if !RungOrderOK(tj.SpansDecoded()) {
+			return fmt.Errorf("trace %s violates rung order: %+v", tj.ID, tj.Spans)
+		}
+	}
+	return nil
+}
+
+// FetchRecord GETs and decodes one /debug/flightrec snapshot.
+func FetchRecord(url string) (*FlightRecord, error) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("status %d", resp.StatusCode)
+	}
+	rec := new(FlightRecord)
+	if err := json.NewDecoder(resp.Body).Decode(rec); err != nil {
+		return nil, fmt.Errorf("flightrec JSON: %w", err)
+	}
+	return rec, nil
 }

@@ -3,6 +3,7 @@ package reqtrace
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -210,6 +211,73 @@ func TestHandlerJSONRoundTrip(t *testing.T) {
 	}
 	if !RungOrderOK(spans) {
 		t.Fatal("round-tripped spans failed rung validation")
+	}
+}
+
+// TestTraceJSONDeep: the wire-form classifier agrees with the live
+// trace's flags for every kind, so consumers of /debug/flightrec count
+// deep traces exactly as the tail sampler does.
+func TestTraceJSONDeep(t *testing.T) {
+	for k := KindNone + 1; k < kindMax; k++ {
+		tr := &Trace{}
+		tr.reset(1, 0)
+		tr.Note(KindCRCDetect, 0, 0)
+		tr.Note(k, 0, 0)
+		tj := TraceJSON{Spans: []SpanJSON{{Kind: "crc_detect"}, {Kind: k.String()}}}
+		if tj.Deep() != tr.Deep() {
+			t.Fatalf("kind %v: TraceJSON.Deep %v, Trace.Deep %v", k, tj.Deep(), tr.Deep())
+		}
+	}
+	if (TraceJSON{Spans: []SpanJSON{{Kind: "garbage"}}}).Deep() {
+		t.Fatal("unknown kind classified deep")
+	}
+}
+
+func TestFlightRecordCheck(t *testing.T) {
+	good := TraceJSON{ID: "ab", Spans: []SpanJSON{{Kind: "crc_detect", AtNs: 1}, {Kind: "sdr", AtNs: 2}}}
+	cases := []struct {
+		rec  FlightRecord
+		want string // "" = passes
+	}{
+		{FlightRecord{Published: 1, Traces: []TraceJSON{good}}, ""},
+		{FlightRecord{Published: 9}, "empty"},
+		{FlightRecord{Published: 1, Traces: []TraceJSON{good, good}}, "published_total"},
+		{FlightRecord{Published: 1, Traces: []TraceJSON{{ID: "xyz"}}}, "trace id"},
+		{FlightRecord{Published: 1, Traces: []TraceJSON{{ID: "1", Spans: []SpanJSON{
+			{Kind: "crc_detect", AtNs: 1}, {Kind: "sdr", AtNs: 2}, {Kind: "ecc1", AtNs: 3},
+		}}}}, "rung order"},
+	}
+	for i, tc := range cases {
+		err := tc.rec.Check()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Fatalf("case %d: %v", i, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Fatalf("case %d: error %v, want %q", i, err, tc.want)
+		}
+	}
+}
+
+func TestFetchRecord(t *testing.T) {
+	tp := NewTracer(Config{RingSize: 8})
+	tr := tp.Begin(7, 1)
+	tr.Note(KindCRCDetect, 64, 0)
+	tr.Note(KindHash2Retry, 64, 1)
+	tp.Finish(tr)
+	srv := httptest.NewServer(Handler(tp))
+	defer srv.Close()
+	rec, err := FetchRecord(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Traces) != 1 || !rec.Traces[0].Deep() {
+		t.Fatalf("record %+v", rec)
+	}
+	if _, err := FetchRecord(srv.URL + "\x00"); err == nil {
+		t.Fatal("bad URL accepted")
 	}
 }
 
